@@ -12,6 +12,12 @@ from .errors import BudgetExceededError
 
 DEFAULT_BUDGET = 1 << 20
 
+# The longest word a pruned scan builds.  A walk down one path holds a
+# word of every length up to its depth, so its memory and time grow with
+# the square of the depth, which the visit count does not see; at 1024
+# bits that stays a few megabytes.
+MAX_SCAN_DEPTH = 1 << 10
+
 
 def enumeration_budget() -> int:
     raw = os.environ.get("FANKIT_BUDGET")

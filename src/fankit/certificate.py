@@ -1,5 +1,5 @@
 """Replayable certificates: a checked region the verifier re-derives by
-level scans alone, and an advisory region (oracle trace, tool version)
+scans alone, and an advisory region (oracle trace, tool version)
 that is never trusted.
 
 Layout, one KEY=VALUE per line:
@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .continuity import eval_word, is_constant, residual
-from .errors import FankitError
-from .sets import DSet, Outcome, bar_verdict, uniform_bound
+from .errors import BudgetExceededError, FankitError
+from .sets import DSet, Outcome, avoid_height, bar_verdict, uniform_bound
 from .specfile import SpecDoc
-from .trees import complete, members_at
+from .trees import complete, tree_levels
 from .words import Word, format_word, iter_level, parse_word
 
 HEADER = "FANKIT-CERT"
@@ -115,11 +115,42 @@ def _parse_command(command: str) -> tuple[str, dict[str, str]]:
     return sub, flags
 
 
-def _check_uniform(carrier: DSet, n: int) -> tuple[bool, list[str]]:
-    for u in iter_level(n):
-        if not any(carrier.member(u[:k]) for k in range(n + 1)):
-            return False, [f"word {format_word(u)} at level {n} has no prefix "
-                           "in the carrier"]
+def _flag(flags: dict[str, str], name: str) -> str:
+    if name not in flags:
+        raise CertificateFormatError(f"COMMAND lacks --{name}")
+    return flags[name]
+
+
+def _count(text: str, what: str) -> int:
+    """A nonnegative integer written as the producer writes one: ASCII
+    digits, no sign and no leading zero."""
+    try:
+        value = int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        value = None
+    if value is None or str(value) != text:
+        raise CertificateFormatError(f"{what} must be a nonnegative integer, got {text!r:.40}")
+    return value
+
+
+def _word(text: str, what: str) -> Word:
+    try:
+        return parse_word(text)
+    except ValueError as exc:
+        raise CertificateFormatError(f"{what}: {exc}") from exc
+
+
+def _check_uniform(carrier: DSet, n: int, least: bool = False) -> tuple[bool, list[str]]:
+    """Is n a uniform bound of the carrier (and, with least, the least)?
+    Both answers come from one descent of the avoid tree, whose height
+    is n - 1 exactly when n is the least bound."""
+    top, escape = avoid_height(carrier, n)
+    if escape is not None:
+        return False, [f"word {format_word(escape)} at level {n} has no prefix "
+                       "in the carrier"]
+    if least and top != n - 1:
+        return False, [f"bound {n} is not the least: every level-{top + 1} word "
+                       "already has a prefix in the carrier"]
     return True, []
 
 
@@ -136,10 +167,15 @@ def _check_escape(carrier: DSet, w: Word) -> tuple[bool, list[str]]:
 def verify(cert: Certificate, doc: SpecDoc) -> tuple[bool, str]:
     """Re-check a certificate against a spec document without oracles.
 
-    Returns (ok, report); the report explains every mismatch found.
+    Returns (ok, report); the report explains every mismatch found.  A
+    malformed certificate raises CertificateFormatError instead, and a
+    re-check that would exceed the scan budget raises BudgetExceededError:
+    neither says the certificate is wrong.
     """
     try:
         ok, issues = _verify_inner(cert, doc)
+    except (CertificateFormatError, BudgetExceededError):
+        raise
     except FankitError as exc:
         return False, f"verification error: {exc}"
     if ok:
@@ -151,15 +187,23 @@ def _verify_inner(cert: Certificate, doc: SpecDoc) -> tuple[bool, list[str]]:
     sub, flags = _parse_command(cert.command)
 
     if sub in ("bar-check", "uniform-bound"):
-        carrier = doc.get_set(flags["set"])
+        carrier = doc.get_set(_flag(flags, "set"))
+        limit_flag = "depth" if sub == "bar-check" else "max"
+        limit = _count(_flag(flags, limit_flag), f"--{limit_flag}")
         if cert.verdict == "YES":
-            n = int(cert.single("BOUND"))
-            return _check_uniform(carrier, n)
+            n = _count(cert.single("BOUND"), "BOUND")
+            if n > limit:
+                return False, [f"bound {n} exceeds --{limit_flag} {limit}"]
+            return _check_uniform(carrier, n, least=True)
         if cert.verdict == "NO" and sub == "bar-check":
-            w = parse_word(cert.single("ESCAPE"))
+            w = _word(cert.single("ESCAPE"), "ESCAPE")
+            if len(w) != limit:
+                return False, [f"escape has length {len(w)}, not --depth {limit}"]
             return _check_escape(carrier, w)
         if cert.verdict == "UNKNOWN":
-            depth = int(cert.single("BOUND"))
+            depth = _count(cert.single("BOUND"), "BOUND")
+            if depth != limit:
+                return False, [f"UNKNOWN names depth {depth}, not --{limit_flag} {limit}"]
             if sub == "bar-check":
                 fresh = bar_verdict(carrier, depth)
             else:
@@ -171,41 +215,46 @@ def _verify_inner(cert: Certificate, doc: SpecDoc) -> tuple[bool, list[str]]:
         return False, [f"verdict {cert.verdict} does not fit {sub}"]
 
     if sub == "complete-tree":
-        t = doc.get_tree(flags["tree"])
-        depth = int(flags["depth"])
-        completed = complete(t)
-        expected = {}
-        for k in range(depth + 1):
-            expected[k] = " ".join(format_word(u) for u in members_at(completed, k))
-        issues = []
-        seen = {}
+        t = doc.get_tree(_flag(flags, "tree"))
+        depth = _count(_flag(flags, "depth"), "--depth")
+        seen: dict[int, str] = {}
         for value in cert.values("WITNESS"):
             if ":" not in value:
                 return False, [f"malformed level listing {value!r}"]
             idx, words = value.split(":", 1)
-            seen[int(idx)] = words
-        for k in range(depth + 1):
-            if seen.get(k) != expected[k]:
+            k = _count(idx, "WITNESS level")
+            if k > depth:
+                return False, [f"level {k} lies outside 0..{depth}"]
+            if k in seen:
+                return False, [f"level {k} is listed twice"]
+            seen[k] = words
+        issues = []
+        for k, members in enumerate(tree_levels(complete(t), depth)):
+            expected = " ".join(format_word(u) for u in members)
+            if seen.get(k) != expected:
                 issues.append(f"level {k}: certificate says {seen.get(k)!r}, "
-                              f"recomputation says {expected[k]!r}")
+                              f"recomputation says {expected!r}")
         return (not issues), issues
 
     if sub == "find-path":
-        t = doc.get_tree(flags["tree"])
-        path = parse_word(cert.single("PATH"))
+        t = doc.get_tree(_flag(flags, "tree"))
+        bits = _count(_flag(flags, "bits"), "--bits")
+        path = _word(cert.single("PATH"), "PATH")
+        if len(path) != bits:
+            return False, [f"path has {len(path)} bits, not --bits {bits}"]
         for k in range(1, len(path) + 1):
             if not t.member(path[:k]):
                 return False, [f"path prefix {format_word(path[:k])} is not in the tree"]
         return True, []
 
     if sub == "coconvex-bound":
-        b = doc.get_bar(flags["bar"])
-        n = int(cert.single("BOUND"))
+        b = doc.get_bar(_flag(flags, "bar"))
+        n = _count(cert.single("BOUND"), "BOUND")
         return _check_uniform(b.carrier, n)
 
     if sub == "uc-bound":
-        f = doc.get_functional(flags["fn"])
-        n = int(cert.single("BOUND"))
+        f = doc.get_functional(_flag(flags, "fn"))
+        n = _count(cert.single("BOUND"), "BOUND")
         for u in iter_level(n):
             if not is_constant(residual(f, u)).constant:
                 return False, [f"residual below {format_word(u)} is not constant "
@@ -213,13 +262,13 @@ def _verify_inner(cert: Certificate, doc: SpecDoc) -> tuple[bool, list[str]]:
         return True, []
 
     if sub == "deco":
-        f = doc.get_functional(flags["fn"])
+        f = doc.get_functional(_flag(flags, "fn"))
         if cert.verdict == "EXISTS":
             raw = cert.single("WITNESS")
             if ":" not in raw:
                 return False, [f"malformed witness pair {raw!r}"]
             left, right = raw.split(":", 1)
-            a, b = parse_word(left), parse_word(right)
+            a, b = _word(left, "WITNESS"), _word(right, "WITNESS")
             if eval_word(f, a) == eval_word(f, b):
                 return False, ["witness prefixes evaluate to the same value"]
             return True, []
@@ -231,9 +280,9 @@ def _verify_inner(cert: Certificate, doc: SpecDoc) -> tuple[bool, list[str]]:
         return False, [f"verdict {cert.verdict} does not fit deco"]
 
     if sub == "defu":
-        d = doc.get_set(flags["set"])
+        d = doc.get_set(_flag(flags, "set"))
         if cert.verdict == "EXISTS":
-            w = parse_word(cert.single("WITNESS"))
+            w = _word(cert.single("WITNESS"), "WITNESS")
             if d.member(w):
                 return False, [f"claimed escape {format_word(w)} is inside the set"]
             return True, []

@@ -21,7 +21,7 @@ from .oracles import WKLOracle, llpo_bounded_oracle, wkl_from_llpo, \
     wkl_oracle_from_llpo
 from .sets import Outcome, bar_verdict, uniform_bound
 from .specfile import SpecError, load_specdoc
-from .trees import complete, members_at
+from .trees import complete, tree_levels
 from .words import format_word, restrict
 
 EXIT_YES = 0
@@ -39,6 +39,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fankit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -50,19 +57,19 @@ def _build_parser() -> _Parser:
 
     p = add("bar-check")
     p.add_argument("--set", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=nonnegative_int, required=True)
 
     p = add("uniform-bound")
     p.add_argument("--set", required=True)
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=nonnegative_int, required=True)
 
     p = add("complete-tree")
     p.add_argument("--tree", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=nonnegative_int, required=True)
 
     p = add("find-path")
     p.add_argument("--tree", required=True)
-    p.add_argument("--bits", type=int, required=True)
+    p.add_argument("--bits", type=nonnegative_int, required=True)
     p.add_argument("--oracle", default="llpo:16")
 
     p = add("coconvex-bound")
@@ -118,10 +125,8 @@ def _do_complete_tree(args, doc) -> tuple[int, Certificate]:
     t = doc.get_tree(args.tree)
     completed = complete(t)
     command = f"complete-tree --tree {args.tree} --depth {args.depth}"
-    payload = []
-    for k in range(args.depth + 1):
-        words = " ".join(format_word(u) for u in members_at(completed, k))
-        payload.append(("WITNESS", f"{k}:{words}"))
+    payload = [("WITNESS", f"{k}:{' '.join(format_word(u) for u in members)}")
+               for k, members in enumerate(tree_levels(completed, args.depth))]
     return EXIT_YES, Certificate(command, "YES", payload)
 
 
@@ -190,8 +195,12 @@ def _do_defu(args, doc) -> tuple[int, Certificate]:
 
 
 def _do_verify(args, doc) -> tuple[int, str]:
-    with open(args.cert, "r", encoding="utf-8") as fh:
-        cert = Certificate.parse(fh.read())
+    try:
+        with open(args.cert, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read certificate: {exc}") from exc
+    cert = Certificate.parse(text)
     ok, report = verify(cert, doc)
     if ok:
         return EXIT_YES, "VERIFY=OK\n"
@@ -221,6 +230,8 @@ def run(argv: list[str]) -> tuple[int, str]:
         doc = load_specdoc(args.spec)
     except (SpecError, OSError) as exc:
         return EXIT_USAGE, f"ERROR=spec: {exc}\n"
+    except BudgetExceededError as exc:
+        return EXIT_UNKNOWN, f"ERROR={type(exc).__name__}: {exc}\n"
     try:
         if args.command == "verify":
             return _do_verify(args, doc)

@@ -3,8 +3,8 @@
 A Bar packages a carrier set with an optional witness that locates, for
 any sequence, a prefix inside the carrier; witness answers are re-checked
 on every call.  Fan oracles turn bars into uniform bounds; every returned
-bound is verified by a level scan before release, so an oracle is never
-trusted blindly.
+bound is verified by a descent of the bar's avoid tree before release,
+so an oracle is never trusted blindly.
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ._budget import check_enumeration
 from .errors import (CertificateError, InconsistencyError, PreconditionError,
                      WitnessError)
-from .sets import DSet, Outcome, closure, complement, uniform_bound
+from .sets import DSet, Outcome, avoid_height, closure, complement, uniform_bound
 from .trees import (DEFAULT_FUEL, PathGen, Tree, complete, find_path_convex_unique,
                     has_descendant, tree)
-from .words import Seq, Word, format_word, iter_level, restrict
+from .words import Seq, Word, format_word, restrict
 
 
 @dataclass(frozen=True)
@@ -47,12 +46,6 @@ def minimal_witness(carrier: DSet, scan_cap: int) -> Callable[[Seq], int]:
     return wit
 
 
-def _verify_uniform(carrier: DSet, n: int) -> bool:
-    check_enumeration(1 << (n + 1))
-    return all(any(carrier.member(u[:k]) for k in range(n + 1))
-               for u in iter_level(n))
-
-
 @dataclass(frozen=True)
 class FanOracle:
     raw_bound: Callable[[Bar], int]
@@ -61,14 +54,14 @@ class FanOracle:
 
     def bound(self, b: Bar) -> int:
         n = self.raw_bound(b)
-        if self.reverify and not _verify_uniform(b.carrier, n):
+        if self.reverify and avoid_height(b.carrier, n)[1] is not None:
             raise CertificateError(
                 f"fan oracle [{self.tag}] returned {n}, which is not a uniform bound")
         return n
 
 
 def fan_bruteforce(max_n: int) -> FanOracle:
-    """A fan oracle backed by the incremental level scan; its search is
+    """A fan oracle backed by the avoid-tree descent; its search is
     its own verification, and minimality comes for free."""
     def raw(b: Bar) -> int:
         v = uniform_bound(b.carrier, max_n)
@@ -84,7 +77,7 @@ def fan_from_lpl(b: Bar, lpl: Callable[[Tree], PathGen]) -> int:
 
     The complement of an extension-closed bar is a tree with at most one
     path; the witness applied to its longest path yields a level that the
-    whole tree misses.  The level is re-scanned before being returned.
+    whole tree misses.  The level is re-checked before being returned.
     """
     if b.wit is None:
         raise PreconditionError("bar must carry a witness")
@@ -94,12 +87,11 @@ def fan_from_lpl(b: Bar, lpl: Callable[[Tree], PathGen]) -> int:
     t = tree(complement(b.carrier), validate=False)
     gen = lpl(t)
     n = b.query(gen.as_seq())
-    check_enumeration(1 << n)
-    for u in iter_level(n):
-        if not b.carrier.member(u):
-            raise CertificateError(
-                f"level {n} is not inside the carrier (saw {format_word(u)}); "
-                "the witness or the path generator violated its contract")
+    _, escape = avoid_height(b.carrier, n)
+    if escape is not None:
+        raise CertificateError(
+            f"level {n} is not inside the carrier (saw {format_word(escape)}); "
+            "the witness or the path generator violated its contract")
     return n
 
 
@@ -154,7 +146,7 @@ def coconvex_bound(b: Bar, fuel: int = DEFAULT_FUEL) -> int:
     The closure keeps co-convexity, its complement is a convex tree, and
     the probe-driven descent walks the completion's unique surviving ray.
     The witness applied to that ray gives the bound, re-verified by a
-    level scan.
+    descent of the closure's avoid tree.
     """
     if b.wit is None:
         raise PreconditionError("bar must carry a witness")
@@ -177,9 +169,8 @@ def coconvex_bound(b: Bar, fuel: int = DEFAULT_FUEL) -> int:
 
     gen = find_path_convex_unique(completed, exit_wit, fuel=fuel)
     n = b.query(gen.as_seq())
-    check_enumeration(1 << n)
-    for u in iter_level(n):
-        if not closed.member(u):
-            raise CertificateError(
-                f"level {n} is not inside the closed carrier (saw {format_word(u)})")
+    _, escape = avoid_height(closed, n)
+    if escape is not None:
+        raise CertificateError(
+            f"level {n} is not inside the closed carrier (saw {format_word(escape)})")
     return n

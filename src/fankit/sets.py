@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-from ._budget import check_enumeration
-from .errors import InconsistencyError, PreconditionError
+from ._budget import MAX_SCAN_DEPTH, ScanMeter, check_enumeration
+from .errors import BudgetExceededError, PreconditionError
 from .words import EMPTY, Seq, Word, format_word, iter_level
 
 DEFAULT_HORIZON = 8
@@ -43,11 +43,6 @@ class DSet:
         meta = (f" stab={self.stab}" if self.stab is not None else "") + \
                ("".join(" " + f for f in flags))
         return f"DSet[{meta.strip() or 'plain'}]"
-
-
-def _prefix_hit(ds: DSet, u: Word, up_to: int | None = None) -> bool:
-    end = len(u) if up_to is None else min(up_to, len(u))
-    return any(ds.member(u[:k]) for k in range(end + 1))
 
 
 def validate_claims(ds: DSet, horizon: int = DEFAULT_HORIZON) -> None:
@@ -173,10 +168,40 @@ def complement(a: DSet) -> DSet:
 
 def closure(a: DSet) -> DSet:
     """Words having some prefix in a.  Extension-closed by construction;
-    co-convexity survives the closure."""
+    co-convexity survives the closure.
+
+    Membership remembers the answers along the last word asked about: the
+    length of its shortest prefix in a, or that none of its prefixes is.
+    A query tests only the prefixes it does not share with that word, so a
+    descent, which asks about a parent before its children, pays one test
+    of a per word instead of one per prefix, and nothing else is kept.
+    """
+    last: Word | None = None
+    hit = 0  # length of the shortest prefix of last in a; len(last) + 1 if none
+
     def mem(u: Word) -> bool:
-        return _prefix_hit(a, u)
+        nonlocal last, hit
+        shared = -1 if last is None else _common_prefix_len(u, last)
+        if hit <= shared:
+            return True
+        j = shared + 1
+        while j <= len(u) and not a.member(u[:j]):
+            j += 1
+        last, hit = u, j
+        return j <= len(u)
+
     return DSet(mem, stab=a.stab, extension_closed=True, co_convex=a.co_convex)
+
+
+def _common_prefix_len(u: Word, w: Word) -> int:
+    if u[:len(w)] == w:  # a descent's usual step: u extends w
+        return len(w)
+    n = 0
+    for x, y in zip(u, w):
+        if x != y:
+            break
+        n += 1
+    return n
 
 
 def restrict_set(a: DSet, u: Word) -> DSet:
@@ -261,23 +286,61 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Bar and convexity checks.
+# The pruned descent, and the bar checks built on it.
 
-def _hits_level(b: DSet, n: int) -> bool:
-    """Does every word at level n carry a prefix in b?"""
-    return all(_prefix_hit(b, u) for u in iter_level(n))
+def descend(keep: MemberFn, depth: int) -> Iterator[Word]:
+    """Preorder walk, 0 before 1, over the words of length <= depth all of
+    whose prefixes (the word itself included) satisfy keep.
+
+    Only kept words are expanded, and every keep test is charged to one
+    ScanMeter, so the budget counts words visited: a thin tree costs its
+    width, a full level n about 2^(n+1).  A walk that would need words
+    longer than MAX_SCAN_DEPTH fails like one over budget.  Words of one
+    length come out in lexicographic order; a caller that has its answer
+    stops the walk by leaving the loop.
+    """
+    meter = ScanMeter()
+    stack = [EMPTY]
+    while stack:
+        u = stack.pop()
+        meter.tick()
+        if not keep(u):
+            continue
+        yield u
+        if len(u) < depth:
+            if len(u) == MAX_SCAN_DEPTH:
+                raise BudgetExceededError(
+                    f"scan needs words longer than {MAX_SCAN_DEPTH} bits")
+            stack.append(u + (1,))
+            stack.append(u + (0,))
+
+
+def descent_height(keep: MemberFn, depth: int) -> tuple[int, Word | None]:
+    """Height of the kept tree cut at depth (-1 when the root fails), and
+    its lex-first word at level depth; the walk stops at that word."""
+    top = -1
+    for u in descend(keep, depth):
+        if len(u) == depth:
+            return depth, u
+        if len(u) > top:
+            top = len(u)
+    return top, None
+
+
+def avoid_height(b: DSet, depth: int) -> tuple[int, Word | None]:
+    """descent_height of b's avoid tree: the words with no prefix in b.
+
+    The avoid tree is restriction-closed, so N is a uniform bound exactly
+    when it has no level-N word, and the least bound is its height + 1.
+    The level-depth word, when there is one, is the lex-first escape.
+    """
+    return descent_height(lambda u: not b.member(u), depth)
 
 
 def least_uniform_bound(b: DSet, max_n: int) -> int | None:
-    """Least N <= max_n such that every level-N word has a prefix in b.
-
-    The search is incremental, so the budget is only charged for the
-    levels actually scanned.
-    """
-    for n in range(max_n + 1):
-        if _hits_level(b, n):
-            return n
-    return None
+    """Least N <= max_n such that every level-N word has a prefix in b."""
+    top, escape = avoid_height(b, max_n)
+    return None if escape is not None else top + 1
 
 
 def bar_verdict(b: DSet, depth: int) -> Verdict:
@@ -285,24 +348,23 @@ def bar_verdict(b: DSet, depth: int) -> Verdict:
 
     YES(N): least N <= depth with every level-N word prefixed in b.
     NO(escape): only certifiable when b stabilizes by depth; the escape
-    is a level-stab word with no prefix in b, extended by zeros.
-    UNKNOWN(depth) otherwise.
+    is the lex-first level-stab word with no prefix in b, extended by
+    zeros.  UNKNOWN(depth) otherwise.
     """
-    n = least_uniform_bound(b, depth)
-    if n is not None:
-        return Verdict.yes(bound=n)
+    top, escape = avoid_height(b, depth)
+    if escape is None:
+        return Verdict.yes(bound=top + 1)
     s = b.stab
     if s is not None and s <= depth:
-        for u in iter_level(s):
-            if not _prefix_hit(b, u):
-                return Verdict.no(escape=Seq.eventually_constant(u, 0))
-        raise InconsistencyError(EMPTY, "declared stab inconsistent with level scan")
+        # past stab every extension of an avoider avoids b too, so the
+        # lex-first level-depth avoider is the lex-first level-s one
+        # followed by zeros
+        return Verdict.no(escape=Seq.eventually_constant(escape[:s], 0))
     return Verdict.unknown(depth)
 
 
 def uniform_bound(b: DSet, max_n: int) -> Verdict:
-    """Least uniform bar bound, or UNKNOWN past max_n.  Minimality is
-    part of the contract: the search is incremental from zero."""
+    """Least uniform bar bound, or UNKNOWN past max_n."""
     n = least_uniform_bound(b, max_n)
     if n is not None:
         return Verdict.yes(bound=n)
@@ -310,13 +372,11 @@ def uniform_bound(b: DSet, max_n: int) -> Verdict:
 
 
 def uniform_bound_ext_closed(b: DSet, max_n: int) -> Verdict:
-    """For extension-closed b the uniform bound is the first full level."""
+    """For extension-closed b the uniform bound is the first full level,
+    which is what uniform_bound finds."""
     if not b.extension_closed:
         raise PreconditionError("set must be flagged extension-closed")
-    for n in range(max_n + 1):
-        if all(b.member(u) for u in iter_level(n)):
-            return Verdict.yes(bound=n)
-    return Verdict.unknown(max_n)
+    return uniform_bound(b, max_n)
 
 
 def _contiguity_gap(flags: list[bool]) -> tuple[int, int, int] | None:

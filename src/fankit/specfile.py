@@ -289,7 +289,11 @@ class _Parser:
                 return len_ge(arg_int(0))
             if name == "bit":
                 arity(2)
-                return bit_at(arg_int(0), arg_int(1))
+                b = arg_int(1)
+                if b not in (0, 1):
+                    raise SpecError(f"bit: the bit must be 0 or 1, got {b}",
+                                    head.line, head.col)
+                return bit_at(arg_int(0), b)
             if name == "count_ones_ge":
                 arity(1)
                 return count_ones_ge(arg_int(0))

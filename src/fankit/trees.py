@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ._budget import ScanMeter, check_enumeration
-from .errors import (CertificateError, FuelError, InconsistencyError,
-                     PreconditionError, WitnessError)
-from .sets import DEFAULT_HORIZON, DSet, Verdict, validate_claims
+from ._budget import MAX_SCAN_DEPTH, ScanMeter, check_enumeration
+from .errors import (BudgetExceededError, CertificateError, FuelError,
+                     InconsistencyError, PreconditionError, WitnessError)
+from .sets import DEFAULT_HORIZON, DSet, Verdict, descend, descent_height, validate_claims
 from .words import EMPTY, Seq, Word, format_word, restrict
 
 DEFAULT_FUEL = 64
@@ -50,50 +50,59 @@ def tree(carrier: DSet, horizon: int = DEFAULT_HORIZON, validate: bool = True) -
     return Tree(carrier, horizon)
 
 
+def tree_levels(t: Tree, depth: int) -> list[list[Word]]:
+    """Members of levels 0..depth, each in lex order, from one descent
+    through members only.
+
+    A listing deeper than MAX_SCAN_DEPTH is refused before any level is
+    built, like a descent that would need words that long.
+    """
+    if depth > MAX_SCAN_DEPTH:
+        raise BudgetExceededError(
+            f"listing levels 0..{depth} needs words longer than {MAX_SCAN_DEPTH} bits")
+    levels: list[list[Word]] = [[]]
+    for u in descend(t.member, depth):
+        if len(u) == len(levels):
+            levels.append([])
+        levels[len(u)].append(u)
+    levels.extend([] for _ in range(depth + 1 - len(levels)))
+    return levels
+
+
 def members_at(t: Tree, n: int) -> list[Word]:
     """Members of level n, found by descending through members only."""
-    check_enumeration(1 << (n + 1))
-    frontier = [EMPTY] if t.member(EMPTY) else []
-    for _ in range(n):
-        frontier = [u + (b,) for u in frontier for b in (0, 1) if t.member(u + (b,))]
-        if not frontier:
-            return []
-    return frontier
+    return tree_levels(t, n)[n]
 
 
 def is_infinite_to(t: Tree, depth: int) -> Verdict:
     """YES(depth) when every level up to depth has a member, else NO(k)
     with the least empty level k."""
-    check_enumeration(1 << (depth + 1))
-    frontier = [EMPTY] if t.member(EMPTY) else []
-    if not frontier:
-        return Verdict.no(bound=0)
-    for n in range(1, depth + 1):
-        frontier = [u + (b,) for u in frontier for b in (0, 1) if t.member(u + (b,))]
-        if not frontier:
-            return Verdict.no(bound=n)
-    return Verdict.yes(bound=depth)
-
-
-def _top_level(t: Tree, s: int) -> int | None:
-    """Deepest nonempty level of a stabilized tree: None when level s is
-    inhabited (the tree is infinite), -1 for the empty tree."""
-    frontier = [EMPTY] if t.member(EMPTY) else []
-    if not frontier:
-        return -1
-    top = 0
-    for n in range(1, s + 1):
-        frontier = [u + (b,) for u in frontier for b in (0, 1) if t.member(u + (b,))]
-        if not frontier:
-            return top
-        top = n
-    return None
+    top, _ = descent_height(t.member, depth)
+    if top == depth:
+        return Verdict.yes(bound=depth)
+    return Verdict.no(bound=top + 1)
 
 
 def _require_stab(t: Tree) -> int:
     if t.stab is None:
         raise PreconditionError("operation needs a declared stabilization depth on the tree")
     return t.stab
+
+
+def _summit(t: Tree) -> Word | None:
+    """The member a stabilized tree's completion hangs its zero tail on:
+    the lex-greatest member of the deepest inhabited level, the root for
+    the empty tree, and None when level stab is inhabited (the tree is
+    infinite)."""
+    s = _require_stab(t)
+    top, head = -1, EMPTY
+    for u in descend(t.member, s):
+        if len(u) == s:
+            return None
+        # preorder meets the words of one length in lex order
+        if len(u) >= top:
+            top, head = len(u), u
+    return head
 
 
 def is_summit(t: Tree, u: Word) -> bool:
@@ -103,16 +112,8 @@ def is_summit(t: Tree, u: Word) -> bool:
     deepest inhabited level; for the empty tree it is the root; an
     infinite tree has no summit.
     """
-    s = _require_stab(t)
-    check_enumeration(1 << (s + 1))
-    top = _top_level(t, s)
-    if top is None:
-        return False
-    if top == -1:
-        return u == EMPTY
-    if len(u) != top:
-        return False
-    return u == max(members_at(t, top))
+    head = _summit(t)
+    return head is not None and u == head
 
 
 def complete(t: Tree) -> Tree:
@@ -123,12 +124,9 @@ def complete(t: Tree) -> Tree:
     makes membership sensitive to arbitrarily late bits.  Its thin shape
     keeps every downstream scan cheap regardless.
     """
-    s = _require_stab(t)
-    check_enumeration(1 << (s + 1))
-    top = _top_level(t, s)
-    if top is None:
+    head = _summit(t)
+    if head is None:
         return t
-    head = EMPTY if top == -1 else max(members_at(t, top))
     hl = len(head)
     base = t.carrier
 

@@ -28,7 +28,7 @@ def word(bits: Iterable[int]) -> Word:
 
 def format_word(u: Word) -> str:
     """Render as a bit string; the empty word renders as 'e'."""
-    return "".join(str(b) for b in u) if u else "e"
+    return "".join(map(str, u)) if u else "e"
 
 
 def parse_word(text: str) -> Word:

@@ -33,6 +33,11 @@ def brute_least_uniform_bound(member: Member, max_n: int) -> int | None:
     return None
 
 
+def brute_first_escape(member: Member, n: int) -> tuple | None:
+    """Lex-first level-n word with no prefix in the set."""
+    return next((u for u in words_at(n) if not has_prefix_in(member, u)), None)
+
+
 def brute_interior_member(member: Member, stab: int, u: tuple, slack: int = 2) -> bool:
     """All extensions inside the set, enumerated to just past the
     stabilization depth."""
@@ -67,6 +72,34 @@ def brute_is_convex(member: Member, depth: int) -> bool:
 
 def brute_tree_infinite_to(member: Member, depth: int) -> bool:
     return all(any(member(u) for u in words_at(n)) for n in range(depth + 1))
+
+
+def brute_least_empty_level(member: Member, depth: int) -> int | None:
+    return next((n for n in range(depth + 1)
+                 if not any(member(u) for u in words_at(n))), None)
+
+
+def brute_summit(member: Member, s: int) -> tuple | None:
+    """Lex-greatest member of the deepest inhabited level of a tree that
+    stabilizes at s; the root for the empty tree; None when level s is
+    inhabited."""
+    if any(member(u) for u in words_at(s)):
+        return None
+    inhabited = [n for n in range(s) if any(member(u) for u in words_at(n))]
+    if not inhabited:
+        return ()
+    return max(u for u in words_at(inhabited[-1]) if member(u))
+
+
+def brute_completion(member: Member, s: int) -> Member:
+    """Membership of the least infinite extension: the tree itself, or the
+    tree plus the root and a zero ray hung from its summit."""
+    head = brute_summit(member, s)
+    if head is None:
+        return member
+    k = len(head)
+    return lambda u: (member(u) or u == ()
+                      or (u[:k] == head and not any(u[k:])))
 
 
 def brute_longest_path_prefix_ok(member: Member, prefix: tuple, depth: int) -> bool:

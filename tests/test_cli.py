@@ -202,6 +202,142 @@ def test_verify_rejects_bad_path(tmp_path):
     assert "path prefix 1 is not in the tree" in out
 
 
+def verify_text(tmp_path, spec, text):
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text(text, encoding="utf-8")
+    return run(["verify", "--spec", spec, "--cert", str(cert_path)])
+
+
+def assert_rejected(tmp_path, spec, text, reason):
+    code, out = verify_text(tmp_path, spec, text)
+    assert code == 1 and "VERIFY=FAIL" in out, (text, out)
+    assert reason in out, out
+
+
+def test_verify_requires_the_least_bound_within_the_depth(tmp_path):
+    spec = write_spec(tmp_path, BASIC_SPEC + "len3 = len_ge(3)\n")
+    forged = Certificate("bar-check --set len3 --depth 4", "YES", [("BOUND", "5")]).render()
+    assert_rejected(tmp_path, spec, forged, "exceeds --depth 4")
+    for argv, bound in ((["bar-check", "--set", "len3", "--depth", "6"], "3"),
+                        (["uniform-bound", "--set", "len3", "--max", "6"], "3")):
+        code, text = run(argv[:1] + ["--spec", spec] + argv[1:])
+        assert code == 0 and f"BOUND={bound}" in text
+        assert verify_text(tmp_path, spec, text)[0] == 0
+        assert_rejected(tmp_path, spec, text.replace("BOUND=3", "BOUND=4"),
+                        "bound 4 is not the least")
+        assert_rejected(tmp_path, spec, text.replace("BOUND=3", "BOUND=2"),
+                        "at level 2 has no prefix")
+
+
+def test_verify_rejects_mutated_unknown_and_escape(tmp_path):
+    spec = write_spec(tmp_path)
+    code, text = run(["bar-check", "--spec", spec, "--set", "ones", "--depth", "6"])
+    assert code == 2 and "BOUND=6" in text
+    assert_rejected(tmp_path, spec, text.replace("BOUND=6", "BOUND=5"), "not --depth 6")
+    code, text = run(["bar-check", "--spec", spec, "--set", "empty", "--depth", "4"])
+    assert code == 1 and verify_text(tmp_path, spec, text)[0] == 0
+    assert_rejected(tmp_path, spec, text.replace("ESCAPE=0000", "ESCAPE=000"),
+                    "not --depth 4")
+
+
+def test_verify_rejects_mutated_level_listings(tmp_path):
+    spec = write_spec(tmp_path, BASIC_SPEC + "rt = tree(complement(closure(finite(0, 1))))\n")
+    code, text = run(["complete-tree", "--spec", spec, "--tree", "rt", "--depth", "3"])
+    assert code == 0 and verify_text(tmp_path, spec, text)[0] == 0
+    extra = text.replace("WITNESS=3:000\n", "WITNESS=3:000\nWITNESS=4:0000\n")
+    assert_rejected(tmp_path, spec, extra, "level 4 lies outside 0..3")
+    repeated = text.replace("WITNESS=3:000\n", "WITNESS=3:000\nWITNESS=1:0\n")
+    assert_rejected(tmp_path, spec, repeated, "level 1 is listed twice")
+    dropped = text.replace("WITNESS=2:00\n", "")
+    assert_rejected(tmp_path, spec, dropped, "level 2: certificate says None")
+
+
+def test_verify_rejects_a_path_of_the_wrong_length(tmp_path):
+    spec = write_spec(tmp_path)
+    code, text = run(["find-path", "--spec", spec, "--tree", "zt", "--bits", "6",
+                      "--oracle", "llpo:8"])
+    assert code == 0 and "PATH=000000" in text
+    assert_rejected(tmp_path, spec, text.replace("PATH=000000", "PATH=e"),
+                    "path has 0 bits, not --bits 6")
+    assert_rejected(tmp_path, spec, text.replace("PATH=000000", "PATH=00000"),
+                    "path has 5 bits")
+
+
+def test_malformed_certificates_are_format_errors(tmp_path):
+    spec = write_spec(tmp_path)
+    for command, payload in (
+        ("uniform-bound --set len2 --max 8", [("BOUND", "abc")]),
+        ("uniform-bound --set len2 --max 8", [("BOUND", "-1")]),
+        ("uniform-bound --max 8", [("BOUND", "2")]),
+        ("bar-check --set len2 --depth x", [("BOUND", "2")]),
+        ("find-path --tree zt --bits 2 --oracle llpo:8", [("PATH", "0a")]),
+        ("complete-tree --tree zt --depth 1", [("WITNESS", "x:e")]),
+        # numbers the producer never writes
+        ("uniform-bound --set len2 --max 8", [("BOUND", "02")]),
+        ("uniform-bound --set len2 --max 8", [("BOUND", "\uff12")]),  # full-width 2
+        ("uniform-bound --set len2 --max 8", [("BOUND", "9" * 5000)]),
+        ("complete-tree --tree zt --depth " + "9" * 5000, [("WITNESS", "0:e")]),
+    ):
+        text = Certificate(command, "YES", payload).render()
+        code, out = verify_text(tmp_path, spec, text)
+        assert code == 3, (command, payload, out)
+        assert out.startswith("ERROR=CertificateFormatError"), out
+    code, out = run(["verify", "--spec", spec, "--cert", str(tmp_path / "missing.txt")])
+    assert code == 3 and out.startswith("ERROR=")
+
+
+def test_bad_bits_and_negative_numbers_are_usage_errors(tmp_path):
+    with pytest.raises(SpecError) as err:
+        parse_specdoc("a = len_ge(1)\nb = bit(0,2)\n")
+    assert "line 2, column 5" in str(err.value)
+    code, text = run(["bar-check", "--spec", write_spec(tmp_path, "b = bit(0,2)\n"),
+                      "--set", "b", "--depth", "2"])
+    assert code == 3 and text.startswith("ERROR=spec: line 1")
+    spec = write_spec(tmp_path)
+    for argv in (["bar-check", "--set", "len2", "--depth", "-1"],
+                 ["uniform-bound", "--set", "len2", "--max", "-1"],
+                 ["complete-tree", "--tree", "zt", "--depth", "-2"],
+                 ["find-path", "--tree", "zt", "--bits", "-1"]):
+        code, text = run(argv[:1] + ["--spec", spec] + argv[1:])
+        assert code == 3 and text.startswith("ERROR=usage"), (argv, text)
+
+
+def test_thin_completion_is_metered_by_visits(tmp_path):
+    spec = write_spec(tmp_path, "t = tree(finite(e, 1, 10))\n")
+    code, text = run(["complete-tree", "--spec", spec, "--tree", "t", "--depth", "20"])
+    assert code == 0, text
+    levels = ["e", "1"] + ["10" + "0" * (k - 2) for k in range(2, 21)]
+    assert [line for line in text.splitlines() if line.startswith("WITNESS=")] == \
+        [f"WITNESS={k}:{u}" for k, u in enumerate(levels)]
+    assert verify_text(tmp_path, spec, text)[0] == 0
+
+
+def test_deep_scans_and_small_budgets_fail_cleanly(tmp_path, monkeypatch):
+    spec = write_spec(tmp_path, BASIC_SPEC + "len3 = len_ge(3)\nt = tree(finite(e, 1, 10))\n")
+    for argv in (["bar-check", "--set", "empty", "--depth", "5000"],
+                 ["complete-tree", "--tree", "t", "--depth", "5000"],
+                 ["bar-check", "--set", "empty", "--depth", "1000000000"],
+                 ["complete-tree", "--tree", "t", "--depth", "1000000000"]):
+        code, text = run(argv[:1] + ["--spec", spec] + argv[1:])
+        assert code == 2 and text.startswith("ERROR=BudgetExceededError"), text
+    # a certificate naming such a depth cannot be re-checked either; that
+    # is no verdict on it
+    for cert in (
+        Certificate("complete-tree --tree t --depth 1000000000", "YES", [("WITNESS", "0:e")]),
+        Certificate("uniform-bound --set empty --max 1000000000", "UNKNOWN",
+                    [("BOUND", "1000000000")]),
+    ):
+        code, out = verify_text(tmp_path, spec, cert.render())
+        assert code == 2 and out.startswith("ERROR=BudgetExceededError"), out
+    # a bar found early is answered whatever the depth
+    code, text = run(["bar-check", "--spec", spec, "--set", "len3", "--depth", "100000"])
+    assert code == 0 and "BOUND=3" in text
+    # validating the spec's claims is itself over this budget
+    monkeypatch.setenv("FANKIT_BUDGET", "256")
+    code, text = run(["complete-tree", "--spec", spec, "--tree", "t", "--depth", "4"])
+    assert code == 2 and text.startswith("ERROR=BudgetExceededError"), text
+
+
 def test_reruns_are_byte_identical(tmp_path):
     spec = write_spec(tmp_path)
     for argv in (

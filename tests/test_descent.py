@@ -1,0 +1,220 @@
+"""The pruned descent and everything built on it, checked against
+tests/bruteforce.py on seeded random definition files, plus the visit
+metering of its budget."""
+
+from __future__ import annotations
+
+import random
+import sys
+import tracemalloc
+
+import pytest
+
+from fankit import (DSet, bar_verdict, closure, complete, finite_set, full_set,
+                    is_infinite_to, is_summit, least_uniform_bound, members_at,
+                    restrict, tree)
+from fankit._budget import MAX_SCAN_DEPTH
+from fankit.errors import BudgetExceededError
+from fankit.sets import avoid_height, descend, descent_height
+from fankit.specfile import parse_specdoc
+from fankit.trees import tree_levels
+
+from bruteforce import (all_words, brute_completion, brute_first_escape,
+                        brute_least_empty_level, brute_least_uniform_bound,
+                        brute_level_members, brute_summit, has_prefix_in)
+from test_cli import random_set_text, random_word_text
+
+
+def random_sets(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield parse_specdoc(f"s = {random_set_text(rng)}\n").get_set("s")
+
+
+TREE_POOL = [
+    "tree(complement(closure(finite({ws}))))",
+    "tree(finite(e, {x}, {x}{y}))",
+    "tree(intersect(complement(closure(finite({ws}))), complement(len_ge({k}))))",
+    "tree(union(complement(len_ge({k})), complement(count_ones_ge(1))))",
+]
+
+
+def random_trees(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        ws = ", ".join(random_word_text(rng) for _ in range(rng.randrange(1, 4)))
+        text = rng.choice(TREE_POOL).format(ws=ws, x=rng.choice("01"), y=rng.choice("01"),
+                                            k=rng.randrange(0, 6))
+        yield parse_specdoc(f"t = {text}\n").get_tree("t")
+
+
+# ---------------------------------------------------------------------------
+# The primitive.
+
+def test_descend_is_preorder_over_kept_words():
+    assert list(descend(lambda u: True, 3)) == sorted(all_words(3))
+    keep = lambda u: not any(u[1:])  # noqa: E731  the two rays 0000... and 1000...
+    assert list(descend(keep, 3)) == [(), (0,), (0, 0), (0, 0, 0), (1,), (1, 0), (1, 0, 0)]
+    assert list(descend(lambda u: False, 5)) == []
+    # a word is kept only when every prefix is
+    assert list(descend(lambda u: u != (0,), 2)) == [(), (1,), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("keep, depth, visits", [
+    (lambda u: True, 5, 2 ** 6 - 1),        # a full level n costs about 2^(n+1)
+    (lambda u: not any(u), 40, 1 + 2 * 40),  # the zero ray costs its width per level
+])
+def test_descend_charges_each_tested_word(monkeypatch, keep, depth, visits):
+    monkeypatch.setenv("FANKIT_BUDGET", str(visits))
+    assert len(list(descend(keep, depth))) > depth
+    monkeypatch.setenv("FANKIT_BUDGET", str(visits - 1))
+    with pytest.raises(BudgetExceededError):
+        list(descend(keep, depth))
+
+
+def test_descend_builds_no_word_past_the_depth_cap():
+    ray = lambda u: not any(u)  # noqa: E731
+    assert descent_height(ray, MAX_SCAN_DEPTH) == (MAX_SCAN_DEPTH, (0,) * MAX_SCAN_DEPTH)
+    with pytest.raises(BudgetExceededError):
+        descent_height(ray, MAX_SCAN_DEPTH + 1)
+    # a walk that ends early never meets the cap
+    assert descent_height(lambda u: len(u) < 3, 10 * MAX_SCAN_DEPTH) == (2, None)
+    # but a level listing that deep is refused before it is built
+    root = tree(finite_set([()]), validate=False)
+    assert len(tree_levels(root, MAX_SCAN_DEPTH)) == MAX_SCAN_DEPTH + 1
+    with pytest.raises(BudgetExceededError):
+        tree_levels(root, MAX_SCAN_DEPTH + 1)
+
+
+def test_avoid_height_stops_at_the_first_escape():
+    tested = []
+    b = DSet(lambda u: tested.append(u) or False)  # the empty set
+    assert avoid_height(b, 30) == (30, (0,) * 30)
+    assert len(tested) == 31  # straight down the zero ray
+
+
+# ---------------------------------------------------------------------------
+# Bars: least bounds and escapes.
+
+def test_least_uniform_bound_agrees_with_bruteforce():
+    for s in random_sets(501, 150):
+        for max_n in range(7):
+            assert least_uniform_bound(s, max_n) == \
+                brute_least_uniform_bound(s.member, max_n)
+
+
+def test_bar_verdict_agrees_with_bruteforce():
+    for s in random_sets(502, 150):
+        for depth in range(7):
+            v = bar_verdict(s, depth)
+            least = brute_least_uniform_bound(s.member, depth)
+            if least is not None:
+                assert v.is_yes and v.bound == least
+            elif s.stab is not None and s.stab <= depth:
+                assert v.is_no
+                # the lex-first level-stab avoider, continued by zeros
+                assert restrict(v.escape, s.stab) == brute_first_escape(s.member, s.stab)
+                assert restrict(v.escape, depth) == brute_first_escape(s.member, depth)
+            else:
+                assert v.is_unknown and v.depth == depth
+
+
+def test_closure_memo_is_order_independent():
+    rng = random.Random(503)
+    for a in random_sets(504, 120):
+        w = tuple(rng.randrange(2) for _ in range(rng.randrange(8, 24)))
+        prefixes = [w[:k] for k in range(len(w) + 1)]
+        expected = {u: has_prefix_in(a.member, u) for u in prefixes}
+        long_first = closure(a)
+        assert long_first.member(w) == expected[w]
+        assert all(long_first.member(u) == expected[u] for u in prefixes)
+        short_first = closure(a)
+        assert all(short_first.member(u) == expected[u] for u in prefixes)
+        assert short_first.member(w) == expected[w]
+        shuffled = closure(a)
+        order = prefixes[:]
+        rng.shuffle(order)
+        assert all(shuffled.member(u) == expected[u] for u in order)
+
+
+def test_closure_keeps_only_the_last_path():
+    # the avoid tree of the closure of the words of length >= 14 is full
+    # to depth 13: 32767 words asked about, each of which tests the base
+    # set once, and none of which may stay behind
+    calls = 0
+
+    def long(u):
+        nonlocal calls
+        calls += 1
+        return len(u) >= 14
+
+    b = closure(DSet(long))
+    tracemalloc.start()
+    try:
+        assert least_uniform_bound(b, 20) == 14
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == 2 ** 15 - 1
+    assert peak < 100_000, peak
+
+
+def test_closure_memo_does_not_recurse():
+    n = sys.getrecursionlimit() + 100
+    assert not closure(finite_set([])).member((0,) * n)
+    assert closure(finite_set([(1,) * 3])).member((1,) * n)
+
+
+# ---------------------------------------------------------------------------
+# Trees: levels, infinity, summit and completion.
+
+def test_levels_agree_with_bruteforce():
+    for t in random_trees(505, 80):
+        levels = tree_levels(t, 7)
+        for k in range(8):
+            expected = brute_level_members(t.member, k)
+            assert levels[k] == expected
+            assert members_at(t, k) == expected
+
+
+def test_is_infinite_to_agrees_with_bruteforce():
+    for t in random_trees(506, 80):
+        for depth in range(8):
+            v = is_infinite_to(t, depth)
+            empty = brute_least_empty_level(t.member, depth)
+            if empty is None:
+                assert v.is_yes and v.bound == depth
+            else:
+                assert v.is_no and v.bound == empty
+
+
+def test_summit_and_completion_agree_with_bruteforce():
+    checked = 0
+    for t in random_trees(507, 80):
+        if t.stab is None:
+            continue
+        checked += 1
+        head = brute_summit(t.member, t.stab)
+        for u in all_words(t.stab):
+            assert is_summit(t, u) == (u == head)
+        reference = brute_completion(t.member, t.stab)
+        tc = complete(t)
+        for u in all_words(8):
+            assert tc.member(u) == reference(u)
+    assert checked > 40
+
+
+# ---------------------------------------------------------------------------
+# The budget meters visits, not a 2^n worst case.
+
+def test_thin_tree_levels_cost_their_width(monkeypatch):
+    monkeypatch.setenv("FANKIT_BUDGET", "256")
+    t = tree(finite_set([(), (1,), (1, 0)]), validate=False)
+    levels = tree_levels(complete(t), 40)
+    assert levels == [[()], [(1,)]] + [[(1, 0) + (0,) * (k - 2)] for k in range(2, 41)]
+
+
+def test_full_tree_levels_still_exceed_the_budget(monkeypatch):
+    monkeypatch.setenv("FANKIT_BUDGET", "1024")
+    with pytest.raises(BudgetExceededError):
+        tree_levels(complete(tree(full_set(), validate=False)), 12)
