@@ -14,8 +14,8 @@ from .sets import (DSet, Outcome, Verdict, bar_verdict, bit_at, closure,
                    uniform_bound, uniform_bound_ext_closed, union_sets)
 from .trees import (PathGen, Tree, complete, escape_witness,
                     find_path_convex_unique, has_descendant, is_infinite_to,
-                    is_summit, members_at, survival_verdict, survivor_width,
-                    tree)
+                    is_summit, members_at, survival, survival_verdict,
+                    survivor_width, tree)
 from .oracles import (LLPOOracle, Parity, WKLOracle, llpo_bounded,
                       llpo_bounded_oracle, llpo_from_path_oracle,
                       llpo_probe_tree, lpl_from_wkl, wkl_from_llpo,

@@ -12,7 +12,7 @@ from .errors import BudgetExceededError
 
 DEFAULT_BUDGET = 1 << 20
 
-# The longest word a pruned scan builds.  A walk down one path holds a
+# How far below its root a pruned scan goes.  A walk down one path holds a
 # word of every length up to its depth, so its memory and time grow with
 # the square of the depth, which the visit count does not see; at 1024
 # bits that stays a few megabytes.

@@ -16,7 +16,7 @@ from .errors import (CertificateError, InconsistencyError, PreconditionError,
                      WitnessError)
 from .sets import DSet, Outcome, avoid_height, closure, complement, uniform_bound
 from .trees import (DEFAULT_FUEL, PathGen, Tree, complete, find_path_convex_unique,
-                    has_descendant, tree)
+                    has_descendant, survival, tree)
 from .words import Seq, Word, format_word, restrict
 
 
@@ -108,14 +108,7 @@ def wkl_unique_from_fan(t: Tree, fan: FanOracle,
     """
 
     def advance(u: Word, trace: list) -> int:
-        right_alive: dict[int, bool] = {}
-
-        def right_ok(m: int) -> bool:
-            got = right_alive.get(m)
-            if got is None:
-                got = has_descendant(t, u + (1,), m)
-                right_alive[m] = got
-            return got
+        right_ok = survival(t, u + (1,))
 
         def b_member(v: Word) -> bool:
             if not t.member(u + (0,) + v):
@@ -127,7 +120,7 @@ def wkl_unique_from_fan(t: Tree, fan: FanOracle,
         n = fan.bound(Bar(carrier, wit))
         trace.append(f"fan[{fan.tag}]@{format_word(u)}={n}")
         alive0 = has_descendant(t, u + (0,), n)
-        alive1 = has_descendant(t, u + (1,), n)
+        alive1 = right_ok(n)
         trace.append(f"scan@{format_word(u)}:n={n}:{int(alive0)}{int(alive1)}")
         if not alive0 and not alive1:
             raise InconsistencyError(u, "both sides dead at the fan bound")

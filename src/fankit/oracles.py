@@ -14,7 +14,7 @@ from typing import Callable
 
 from .errors import CertificateError, PreconditionError
 from .sets import DSet
-from .trees import DEFAULT_FUEL, PathGen, Tree, complete, has_descendant
+from .trees import DEFAULT_FUEL, PathGen, Tree, complete, survival
 from .words import Seq, Word, format_word
 
 
@@ -66,15 +66,10 @@ def wkl_from_llpo(t: Tree, oracle: LLPOOracle, fuel: int = DEFAULT_FUEL) -> Path
     the branch.  EVENS descends left, ODDS right."""
 
     def advance(u: Word, trace: list) -> int:
-        beta_memo: dict[int, int] = {}
+        alive = (survival(t, u + (0,)), survival(t, u + (1,)))
 
         def beta(i: int) -> int:
-            got = beta_memo.get(i)
-            if got is None:
-                child = u + (i % 2,)
-                got = 0 if has_descendant(t, child, i // 2) else 1
-                beta_memo[i] = got
-            return got
+            return 0 if alive[i % 2](i // 2) else 1
 
         def alpha_rule(i: int) -> int:
             if beta(i) != 1:

@@ -288,19 +288,21 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # The pruned descent, and the bar checks built on it.
 
-def descend(keep: MemberFn, depth: int) -> Iterator[Word]:
-    """Preorder walk, 0 before 1, over the words of length <= depth all of
-    whose prefixes (the word itself included) satisfy keep.
+def descend(keep: MemberFn, depth: int, root: Word = EMPTY) -> Iterator[Word]:
+    """Preorder walk, 0 before 1, over the words of length <= depth that
+    extend root and whose prefixes from root on (the word itself
+    included) all satisfy keep.
 
     Only kept words are expanded, and every keep test is charged to one
     ScanMeter, so the budget counts words visited: a thin tree costs its
     width, a full level n about 2^(n+1).  A walk that would need words
-    longer than MAX_SCAN_DEPTH fails like one over budget.  Words of one
-    length come out in lexicographic order; a caller that has its answer
-    stops the walk by leaving the loop.
+    more than MAX_SCAN_DEPTH bits below root fails like one over budget.
+    Words of one length come out in lexicographic order; a caller that
+    has its answer stops the walk by leaving the loop.
     """
     meter = ScanMeter()
-    stack = [EMPTY]
+    cap = len(root) + MAX_SCAN_DEPTH
+    stack = [root]
     while stack:
         u = stack.pop()
         meter.tick()
@@ -308,9 +310,9 @@ def descend(keep: MemberFn, depth: int) -> Iterator[Word]:
             continue
         yield u
         if len(u) < depth:
-            if len(u) == MAX_SCAN_DEPTH:
+            if len(u) == cap:
                 raise BudgetExceededError(
-                    f"scan needs words longer than {MAX_SCAN_DEPTH} bits")
+                    f"scan needs words more than {MAX_SCAN_DEPTH} bits below its root")
             stack.append(u + (1,))
             stack.append(u + (0,))
 

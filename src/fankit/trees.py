@@ -8,10 +8,11 @@ full levels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
-from ._budget import MAX_SCAN_DEPTH, ScanMeter, check_enumeration
+from ._budget import MAX_SCAN_DEPTH
 from .errors import (BudgetExceededError, CertificateError, FuelError,
                      InconsistencyError, PreconditionError, WitnessError)
 from .sets import DEFAULT_HORIZON, DSet, Verdict, descend, descent_height, validate_claims
@@ -141,55 +142,56 @@ def complete(t: Tree) -> Tree:
     return Tree(carrier, t.horizon)
 
 
+def survival(t: Tree, u: Word) -> Callable[[int], bool]:
+    """alive(d): does u have a member extension at relative depth d >= 0?
+
+    Every answer comes from one suspended descent through members below
+    u, resumed only as far as the deepest depth asked so far.  Up to its
+    first word at relative depth d, that walk visits exactly the words a
+    fresh walk cut at d visits, so asking every depth 0..K costs the
+    visits of one has_descendant(t, u, K), all charged to the walk's one
+    ScanMeter.  A member at or past the stabilization depth owns a full
+    cone and answers every depth; an exhausted walk answers every depth
+    past the deepest member it met.  An error from the walk ends it: ask
+    a fresh survival after one.
+    """
+    s = t.stab
+    walk = descend(t.member, len(u) + MAX_SCAN_DEPTH + 1, root=u)
+    top = -1  # deepest relative depth with a member found so far
+
+    def alive(d: int) -> bool:
+        nonlocal top
+        while top < d:
+            v = next(walk, None)
+            if v is None:
+                return False
+            if s is not None and len(v) >= s:
+                top = math.inf
+            else:
+                top = max(top, len(v) - len(u))
+        return True
+
+    return alive
+
+
 def has_descendant(t: Tree, u: Word, depth: int) -> bool:
     """Does u have a member extension at relative depth `depth`?
 
     Pruned search: only members are expanded, and a member at or past the
     stabilization depth owns a full cone, so the answer is immediate.
     """
-    check_enumeration(1 << depth)
-    meter = ScanMeter()
-    s = t.stab
-    stack = [(u, 0)]
-    while stack:
-        v, d = stack.pop()
-        meter.tick()
-        if not t.member(v):
-            continue
-        if d >= depth:
-            return True
-        if s is not None and len(v) >= s:
-            return True
-        stack.append((v + (0,), d + 1))
-        stack.append((v + (1,), d + 1))
-    return False
+    return survival(t, u)(depth)
 
 
 def survival_verdict(t: Tree, u: Word, depth: int) -> Verdict:
     """YES(depth) when u keeps descendants at every relative depth up to
     `depth`; NO(m) names the least depth with none.  YES is exact, not
     provisional, once the tree stabilizes within the checked depth."""
-    check_enumeration(1 << depth)
-    meter = ScanMeter()
-    s = t.stab
-    best = -1
-    stack = [(u, 0)]
-    while stack:
-        v, d = stack.pop()
-        meter.tick()
-        if not t.member(v):
-            continue
-        if s is not None and len(v) >= s:
-            best = depth
-            break
-        if d > best:
-            best = d
-        if d < depth:
-            stack.append((v + (0,), d + 1))
-            stack.append((v + (1,), d + 1))
-    if best >= depth:
+    alive = survival(t, u)
+    if alive(depth):
         return Verdict.yes(bound=depth)
-    return Verdict.no(bound=best + 1)
+    # the walk is exhausted, so these questions visit nothing
+    return Verdict.no(bound=next(m for m in range(depth + 1) if not alive(m)))
 
 
 def survivor_width(t: Tree, k: int, depth: int) -> int:

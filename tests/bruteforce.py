@@ -58,6 +58,25 @@ def brute_survivors(member: Member, k: int, d: int) -> set[tuple]:
     return out
 
 
+def brute_has_descendant(member: Member, u: tuple, d: int) -> bool:
+    """Some extension of u by d bits is a member (u itself when d = 0)."""
+    return any(member(u + w) for w in words_at(d))
+
+
+def brute_llpo_branch(member: Member, u: tuple, horizon: int) -> int:
+    """The child of u a path led by the bounded LLPO oracle must take.
+
+    Index i of the oracle's sequence asks whether child i % 2 still has a
+    member i // 2 bits below it.  The first index whose answer is no
+    names the child that died first, and the path takes the other one;
+    with no such index up to the horizon it takes child 0.
+    """
+    for i in range(horizon + 1):
+        if not brute_has_descendant(member, u + (i % 2,), i // 2):
+            return 1 - i % 2
+    return 0
+
+
 def brute_is_convex_level(member: Member, n: int) -> bool:
     flags = [member(u) for u in words_at(n)]
     idx = [i for i, f in enumerate(flags) if f]

@@ -312,6 +312,19 @@ def test_thin_completion_is_metered_by_visits(tmp_path):
     assert verify_text(tmp_path, spec, text)[0] == 0
 
 
+def test_deep_llpo_horizons_are_metered_by_visits(tmp_path):
+    # an LLPO horizon of 64 asks survival 32 levels below each child
+    spec = write_spec(tmp_path, BASIC_SPEC + "rt = tree(complement(closure(finite(1))))\n")
+    for argv, expected in (
+        (["find-path", "--tree", "rt", "--bits", "8", "--oracle", "llpo:64"], "PATH=00000000"),
+        (["find-path", "--tree", "zt", "--bits", "8", "--oracle", "llpo:64"], "PATH=00000000"),
+        (["defu", "--set", "db", "--oracle", "llpo:64"], "VERDICT=EXISTS"),
+    ):
+        code, text = run(argv[:1] + ["--spec", spec] + argv[1:])
+        assert code == 0 and expected in text, text
+        assert verify_text(tmp_path, spec, text) == (0, "VERIFY=OK\n"), text
+
+
 def test_deep_scans_and_small_budgets_fail_cleanly(tmp_path, monkeypatch):
     spec = write_spec(tmp_path, BASIC_SPEC + "len3 = len_ge(3)\nt = tree(finite(e, 1, 10))\n")
     for argv in (["bar-check", "--set", "empty", "--depth", "5000"],

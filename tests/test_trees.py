@@ -113,9 +113,22 @@ def test_has_descendant():
 
 
 def test_has_descendant_budget(monkeypatch):
+    # full to depth 10 and dead at 11: the search visits all 4095 words
+    t = tree(DSet(lambda u: len(u) <= 10, restriction_closed=True), validate=False)
+    assert not has_descendant(t, (), 11)
     monkeypatch.setenv("FANKIT_BUDGET", "64")
     with pytest.raises(BudgetExceededError):
-        has_descendant(full_tree(), (), 30)
+        has_descendant(t, (), 11)
+
+
+def test_thin_survival_is_metered_by_visits():
+    # about two words per level, so no depth here comes near the budget
+    zt = zero_ray_tree()
+    for depth in (21, 40):
+        assert has_descendant(zt, (), depth)
+        assert has_descendant(zt, (0,) * 1100, depth)  # deeper root than the scan cap
+        assert survival_verdict(zt, (0,), depth).is_yes
+        assert not has_descendant(zt, (1,), depth)
 
 
 def test_survival_verdict():
