@@ -32,11 +32,14 @@ def enumeration_budget() -> int:
     return value
 
 
-def check_enumeration(count: int) -> None:
-    """Fail if a scan of `count` words would exceed the budget."""
+def check_enumeration(count: int, operation: str | None = None) -> None:
+    """Fail if a scan of `count` words would exceed the budget; the error
+    names the operation when one is given."""
     budget = enumeration_budget()
     if count > budget:
-        raise BudgetExceededError(f"scan of {count} words exceeds budget {budget}")
+        if operation is None:
+            raise BudgetExceededError(f"scan of {count} words exceeds budget {budget}")
+        raise BudgetExceededError(f"{operation} needs {count} words, budget {budget}")
 
 
 class ScanMeter:

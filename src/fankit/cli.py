@@ -8,7 +8,9 @@ Exit codes: 0 YES/decided, 1 NO/counterexample/failed re-check,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from typing import Callable
 
 from .certificate import Certificate, CertificateFormatError, verify
 from .continuity import deco_decide, defu_via_wkl, path_modulus, \
@@ -20,7 +22,7 @@ from .fan import coconvex_bound, fan_bruteforce
 from .oracles import WKLOracle, llpo_bounded_oracle, wkl_from_llpo, \
     wkl_oracle_from_llpo
 from .sets import Outcome, bar_verdict, uniform_bound
-from .specfile import SpecError, load_specdoc
+from .specfile import SpecDoc, SpecError, load_specdoc
 from .trees import complete, tree_levels
 from .words import format_word, restrict
 
@@ -46,58 +48,16 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="fankit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name)
-        p.add_argument("--spec", required=True, help="definition file")
-        return p
-
-    p = add("bar-check")
-    p.add_argument("--set", required=True)
-    p.add_argument("--depth", type=nonnegative_int, required=True)
-
-    p = add("uniform-bound")
-    p.add_argument("--set", required=True)
-    p.add_argument("--max", type=nonnegative_int, required=True)
-
-    p = add("complete-tree")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--depth", type=nonnegative_int, required=True)
-
-    p = add("find-path")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--bits", type=nonnegative_int, required=True)
-    p.add_argument("--oracle", default="llpo:16")
-
-    p = add("coconvex-bound")
-    p.add_argument("--bar", required=True)
-
-    p = add("uc-bound")
-    p.add_argument("--fn", required=True)
-    p.add_argument("--via-fan", action="store_true")
-
-    p = add("deco")
-    p.add_argument("--fn", required=True)
-
-    p = add("defu")
-    p.add_argument("--set", required=True)
-    p.add_argument("--oracle", default="llpo:16")
-
-    p = add("verify")
-    p.add_argument("--cert", required=True)
-    return parser
-
-
 def _oracle_horizon(text: str) -> int:
     if not text.startswith("llpo:"):
         raise UsageError(f"unsupported oracle {text!r}; use llpo:H")
     try:
-        return int(text[len("llpo:"):])
+        horizon = int(text[len("llpo:"):])
     except ValueError as exc:
         raise UsageError(f"bad oracle horizon in {text!r}") from exc
+    if horizon < 0:
+        raise UsageError(f"oracle horizon must be nonnegative, got {horizon}")
+    return horizon
 
 
 def _do_bar_check(args, doc) -> tuple[int, Certificate]:
@@ -200,6 +160,8 @@ def _do_verify(args, doc) -> tuple[int, str]:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read certificate: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CertificateFormatError(f"certificate is not UTF-8 text: {exc.reason}") from exc
     cert = Certificate.parse(text)
     ok, report = verify(cert, doc)
     if ok:
@@ -208,22 +170,58 @@ def _do_verify(args, doc) -> tuple[int, str]:
     return EXIT_NO, f"VERIFY=FAIL\n{lines}\n"
 
 
-_HANDLERS = {
-    "bar-check": _do_bar_check,
-    "uniform-bound": _do_uniform_bound,
-    "complete-tree": _do_complete_tree,
-    "find-path": _do_find_path,
-    "coconvex-bound": _do_coconvex_bound,
-    "uc-bound": _do_uc_bound,
-    "deco": _do_deco,
-    "defu": _do_defu,
+class Command:
+    """One subcommand: its flags after --spec, as keyword arguments of
+    argparse's add_argument, and the step that answers it from the parsed
+    arguments and the loaded definition file (a certificate, or the
+    verify report).  A plain class: a dataclass would cost every import
+    of the CLI about a millisecond."""
+
+    __slots__ = ("flags", "step")
+
+    def __init__(self, flags: dict[str, dict],
+                 step: Callable[[argparse.Namespace, SpecDoc], tuple[int, Certificate | str]]):
+        self.flags = flags
+        self.step = step
+
+
+_NAME = {"required": True}
+_COUNT = {"type": nonnegative_int, "required": True}
+_ORACLE = {"default": "llpo:16"}
+
+COMMANDS: dict[str, Command] = {
+    "bar-check": Command({"--set": _NAME, "--depth": _COUNT}, _do_bar_check),
+    "uniform-bound": Command({"--set": _NAME, "--max": _COUNT}, _do_uniform_bound),
+    "complete-tree": Command({"--tree": _NAME, "--depth": _COUNT}, _do_complete_tree),
+    "find-path": Command({"--tree": _NAME, "--bits": _COUNT, "--oracle": _ORACLE},
+                         _do_find_path),
+    "coconvex-bound": Command({"--bar": _NAME}, _do_coconvex_bound),
+    "uc-bound": Command({"--fn": _NAME, "--via-fan": {"action": "store_true"}},
+                        _do_uc_bound),
+    "deco": Command({"--fn": _NAME}, _do_deco),
+    "defu": Command({"--set": _NAME, "--oracle": _ORACLE}, _do_defu),
+    "verify": Command({"--cert": _NAME}, _do_verify),
 }
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser for COMMANDS.  Built on the first run, not at import, so
+    importing the module stays cheap; every later run reuses it."""
+    parser = _Parser(prog="fankit", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--spec", required=True, help="definition file")
+        for flag, options in command.flags.items():
+            p.add_argument(flag, **options)
+    return parser
 
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Execute one command line; returns (exit code, certificate text)."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         return EXIT_USAGE, f"ERROR=usage: {exc}\n"
     try:
@@ -233,10 +231,8 @@ def run(argv: list[str]) -> tuple[int, str]:
     except BudgetExceededError as exc:
         return EXIT_UNKNOWN, f"ERROR={type(exc).__name__}: {exc}\n"
     try:
-        if args.command == "verify":
-            return _do_verify(args, doc)
-        code, cert = _HANDLERS[args.command](args, doc)
-        return code, cert.render()
+        code, out = COMMANDS[args.command].step(args, doc)
+        return code, out.render() if isinstance(out, Certificate) else out
     except (UsageError, PreconditionError, SpecError, OutOfRangeError,
             CertificateFormatError) as exc:
         return EXIT_USAGE, f"ERROR={type(exc).__name__}: {exc}\n"

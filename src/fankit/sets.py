@@ -46,40 +46,60 @@ class DSet:
 
 
 def validate_claims(ds: DSet, horizon: int = DEFAULT_HORIZON) -> None:
-    """Spot-check declared stab and flags on all words up to the horizon."""
-    check_enumeration(1 << (horizon + 1))
+    """Spot-check declared stab and flags on all words up to the horizon.
+
+    Each word's membership is asked once, in preorder (the order of a
+    descent, so a closure tests its base once per word), into a table in
+    level order: the length-n word with bit value v sits at 2^n - 1 + v,
+    its children at 2i + 1 and 2i + 2, its parent at (i - 1) // 2.  The
+    claims are then checked against the table; a word is formatted only
+    for the message of a failed check.
+    """
+    check_enumeration(1 << (horizon + 1), f"claim validation to horizon {horizon}")
+    if ds.stab is not None and ds.stab < 0:
+        raise PreconditionError(f"stab must be nonnegative, got {ds.stab}")
+    if not (ds.stab is not None or ds.extension_closed or ds.restriction_closed
+            or ds.convex or ds.co_convex):
+        return
+    inside = [False] * ((2 << horizon) - 1)
+    stack = [(EMPTY, 0)]
+    while stack:
+        u, i = stack.pop()
+        inside[i] = ds.member(u)
+        if len(u) < horizon:
+            stack.append((u + (1,), 2 * i + 2))
+            stack.append((u + (0,), 2 * i + 1))
+    parents = (1 << horizon) - 1  # positions 0..parents-1 have their children in the table
     if ds.stab is not None:
-        if ds.stab < 0:
-            raise PreconditionError(f"stab must be nonnegative, got {ds.stab}")
-        for n in range(ds.stab, horizon):
-            for u in iter_level(n):
-                m = ds.member(u)
-                for b in (0, 1):
-                    if ds.member(u + (b,)) != m:
-                        raise PreconditionError(
-                            f"stab={ds.stab} violated at {format_word(u)} -> {format_word(u + (b,))}")
+        for i in range((1 << min(ds.stab, horizon)) - 1, parents):
+            for b in (0, 1):
+                if inside[2 * i + 1 + b] != inside[i]:
+                    u = _word_at(i)
+                    raise PreconditionError(
+                        f"stab={ds.stab} violated at {format_word(u)} -> {format_word(u + (b,))}")
     if ds.extension_closed:
-        for n in range(horizon):
-            for u in iter_level(n):
-                if ds.member(u) and not (ds.member(u + (0,)) and ds.member(u + (1,))):
-                    raise PreconditionError(
-                        f"extension-closed flag violated above {format_word(u)}")
+        for i in range(parents):
+            if inside[i] and not (inside[2 * i + 1] and inside[2 * i + 2]):
+                raise PreconditionError(
+                    f"extension-closed flag violated above {format_word(_word_at(i))}")
     if ds.restriction_closed:
-        for n in range(1, horizon + 1):
-            for u in iter_level(n):
-                if ds.member(u) and not ds.member(u[:-1]):
-                    raise PreconditionError(
-                        f"restriction-closed flag violated below {format_word(u)}")
-    if ds.convex:
-        for n in range(horizon + 1):
-            bad = _contiguity_gap([ds.member(u) for u in iter_level(n)])
-            if bad is not None:
-                raise PreconditionError(f"convex flag violated at level {n}")
-    if ds.co_convex:
-        for n in range(horizon + 1):
-            bad = _contiguity_gap([not ds.member(u) for u in iter_level(n)])
-            if bad is not None:
-                raise PreconditionError(f"co-convex flag violated at level {n}")
+        for i in range(1, len(inside)):
+            if inside[i] and not inside[(i - 1) // 2]:
+                raise PreconditionError(
+                    f"restriction-closed flag violated below {format_word(_word_at(i))}")
+    for flag, name, want in ((ds.convex, "convex", True), (ds.co_convex, "co-convex", False)):
+        if flag:
+            for n in range(horizon + 1):
+                row = inside[(1 << n) - 1:(2 << n) - 1]
+                if _contiguity_gap([m == want for m in row]) is not None:
+                    raise PreconditionError(f"{name} flag violated at level {n}")
+
+
+def _word_at(i: int) -> Word:
+    """The word at position i of validate_claims' level-order table."""
+    n = (i + 1).bit_length() - 1
+    v = i + 1 - (1 << n)
+    return tuple((v >> (n - 1 - k)) & 1 for k in range(n))
 
 
 def dset(member_fn: MemberFn, *, stab: int | None = None,

@@ -152,9 +152,12 @@ class SpecDoc:
 
 
 def _as_int(tok: _Token) -> int:
-    if tok.kind != "ATOM" or not tok.text.isdigit():
-        raise SpecError(f"expected an integer, got {tok.text!r}", tok.line, tok.col)
-    return int(tok.text)
+    if tok.kind == "ATOM":
+        try:
+            return int(tok.text)
+        except ValueError:  # a digit int() does not read (a superscript), or too many
+            pass
+    raise SpecError(f"expected an integer, got {tok.text!r:.40}", tok.line, tok.col)
 
 
 def _as_word(tok: _Token) -> Word:
@@ -388,5 +391,13 @@ def parse_specdoc(text: str) -> SpecDoc:
 
 
 def load_specdoc(path: str) -> SpecDoc:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_specdoc(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # a stand-in for the bad byte ends the last line at its column
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise SpecError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text ({exc.reason})",
+                        len(lines), len(lines[-1])) from exc
+    return parse_specdoc(text)

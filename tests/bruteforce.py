@@ -142,3 +142,41 @@ def brute_uc_bound(eval_word: Callable[[tuple], int], depth: int) -> int:
         if ok:
             return n
     return depth
+
+
+def brute_claim_violation(member: Member, claims: dict, horizon: int) -> str | None:
+    """The message the first false claim must raise, or None when every
+    claim holds on all words up to the horizon.
+
+    `claims` maps DSet field names (stab, extension_closed,
+    restriction_closed, convex, co_convex) to their declared values.
+    Claims are checked in that order, each over its words level by level
+    in lex order, asking membership afresh every time.
+    """
+    def fmt(u: tuple) -> str:
+        return "".join(map(str, u)) or "e"
+
+    stab = claims.get("stab")
+    if stab is not None:
+        if stab < 0:
+            return f"stab must be nonnegative, got {stab}"
+        for n in range(stab, horizon):
+            for u in words_at(n):
+                for b in (0, 1):
+                    if member(u + (b,)) != member(u):
+                        return f"stab={stab} violated at {fmt(u)} -> {fmt(u + (b,))}"
+    if claims.get("extension_closed"):
+        for u in all_words(horizon - 1):
+            if member(u) and not (member(u + (0,)) and member(u + (1,))):
+                return f"extension-closed flag violated above {fmt(u)}"
+    if claims.get("restriction_closed"):
+        for u in all_words(horizon):
+            if u and member(u) and not member(u[:-1]):
+                return f"restriction-closed flag violated below {fmt(u)}"
+    for key, name, inside in (("convex", "convex", member),
+                              ("co_convex", "co-convex", lambda u: not member(u))):
+        if claims.get(key):
+            for n in range(horizon + 1):
+                if not brute_is_convex_level(inside, n):
+                    return f"{name} flag violated at level {n}"
+    return None

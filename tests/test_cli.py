@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -300,6 +304,11 @@ def test_bad_bits_and_negative_numbers_are_usage_errors(tmp_path):
                  ["find-path", "--tree", "zt", "--bits", "-1"]):
         code, text = run(argv[:1] + ["--spec", spec] + argv[1:])
         assert code == 3 and text.startswith("ERROR=usage"), (argv, text)
+    for argv in (["find-path", "--tree", "zt", "--bits", "3", "--oracle", "llpo:-5"],
+                 ["defu", "--set", "db", "--oracle", "llpo:-1"]):
+        code, text = run(argv[:1] + ["--spec", spec] + argv[1:])
+        assert code == 3 and text.startswith("ERROR=UsageError") \
+            and "horizon must be nonnegative" in text, (argv, text)
 
 
 def test_thin_completion_is_metered_by_visits(tmp_path):
@@ -349,6 +358,28 @@ def test_deep_scans_and_small_budgets_fail_cleanly(tmp_path, monkeypatch):
     monkeypatch.setenv("FANKIT_BUDGET", "256")
     code, text = run(["complete-tree", "--spec", spec, "--tree", "t", "--depth", "4"])
     assert code == 2 and text.startswith("ERROR=BudgetExceededError"), text
+    assert "claim validation to horizon 8 needs 512 words, budget 256" in text, text
+
+
+def test_non_utf8_text_and_unreadable_digits_exit_3(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfelen2 = len_ge(2)\n")
+    code, text = run(["bar-check", "--spec", str(bad), "--set", "len2", "--depth", "2"])
+    assert (code, text) == (3, "ERROR=spec: line 1, column 1: byte 0xff is not UTF-8 text "
+                               "(invalid start byte)\n")
+    spec = tmp_path / "late.fankit"
+    spec.write_bytes(b"a = len_ge(1)\nb = len_ge(2)  # caf\xc3\xa9 \xe9\n")
+    code, text = run(["bar-check", "--spec", str(spec), "--set", "a", "--depth", "2"])
+    assert code == 3 and text.startswith("ERROR=spec: line 2, column 23: byte 0xe9"), text
+    code, text = run(["verify", "--spec", write_spec(tmp_path), "--cert", str(bad)])
+    assert code == 3 and text.startswith("ERROR=CertificateFormatError: "
+                                         "certificate is not UTF-8 text"), text
+    # digits that int() does not read
+    for number in ("\u00b2", "9" * 5000):
+        spec = write_spec(tmp_path, f"a = len_ge({number})\n")
+        code, text = run(["bar-check", "--spec", spec, "--set", "a", "--depth", "2"])
+        assert code == 3 and text.startswith("ERROR=spec: line 1, column 12: "
+                                             "expected an integer"), text
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -362,6 +393,78 @@ def test_reruns_are_byte_identical(tmp_path):
         first = run(argv)
         second = run(argv)
         assert first == second
+
+
+def run_module(*args: str, code: str | None = None) -> subprocess.CompletedProcess:
+    """Run `python -X dev -m fankit.cli args` (or `-c code`) in a fresh
+    interpreter that imports fankit from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    head = ["-c", code] if code is not None else ["-m", "fankit.cli"]
+    return subprocess.run([sys.executable, "-X", "dev", *head, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_the_parser_is_built_on_the_first_run_only():
+    code = """if True:
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting
+        import fankit.cli
+        print(len(built))
+        fankit.cli.run(["bogus-command"])
+        print(len(built) > 0)
+        first = len(built)
+        fankit.cli.run(["bar-check", "--spec", "missing.fankit", "--set", "a", "--depth", "1"])
+        fankit.cli.run(["bogus-command"])
+        print(len(built) - first)
+    """
+    done = run_module(code=code)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\nTrue\n0\n", "")
+
+
+def test_a_mixed_run_sequence_matches_fresh_processes(tmp_path):
+    # One process running many commands, usage errors and defaults
+    # between them, answers each as a fresh `python -m fankit.cli` does;
+    # the fresh runs also cover main(): its stdout and exit code.
+    spec = write_spec(tmp_path, BASIC_SPEC + "rt = tree(complement(closure(finite(0, 1))))\n")
+    code, text = run(["find-path", "--spec", spec, "--tree", "zt", "--bits", "4"])
+    assert code == 0
+    cert = tmp_path / "cert.txt"
+    cert.write_text(text, encoding="utf-8")
+    calls = [
+        ["bar-check", "--set", "len2", "--depth", "3"],
+        ["bar-check", "--set", "empty", "--depth", "3"],
+        ["bar-check", "--set", "len2"],                          # missing --depth
+        ["uniform-bound", "--set", "ones", "--max", "3"],
+        ["complete-tree", "--tree", "rt", "--depth", "2"],
+        ["bogus-command"],
+        ["find-path", "--tree", "zt", "--bits", "4"],            # default --oracle
+        ["find-path", "--tree", "zt", "--bits", "4", "--oracle", "llpo:-5"],
+        ["coconvex-bound", "--bar", "cb"],
+        ["uc-bound", "--fn", "q2", "--via-fan"],
+        ["uc-bound", "--fn", "q2"],
+        ["uc-bound", "--fn", "q2", "--depth", "1"],              # unknown flag
+        ["deco", "--fn", "q2"],
+        ["defu", "--set", "db"],                                 # default --oracle
+        ["bar-check", "--set", "len2", "--depth", "-1"],
+        ["verify", "--cert", str(cert)],
+    ]
+    calls = [argv[:1] + ["--spec", spec] + argv[1:] for argv in calls] + [[]]
+    in_process = [run(argv) for argv in calls + calls[::-1]]
+    fresh = []
+    for argv in calls:
+        done = run_module(*argv)
+        assert done.stderr == "", (argv, done.stderr)
+        fresh.append((done.returncode, done.stdout))
+    assert in_process == fresh + fresh[::-1]
+    assert {code for code, _ in fresh} == {0, 1, 2, 3}
+    assert (0, "VERIFY=OK\n") in fresh
 
 
 # ---------------------------------------------------------------------------

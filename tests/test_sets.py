@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,9 +12,13 @@ from fankit import (DSet, bar_verdict, closure, complement,
                     iter_level, len_ge, restrict, restrict_set, uniform_bound,
                     uniform_bound_ext_closed, union_sets)
 from fankit.errors import PreconditionError
+from fankit.sets import validate_claims
+from fankit.specfile import SpecError, parse_specdoc
 
-from bruteforce import all_words, brute_interior_member, brute_least_uniform_bound
+from bruteforce import (all_words, brute_claim_violation, brute_interior_member,
+                        brute_least_uniform_bound)
 from corpus import random_dset
+from test_cli import random_set_text
 
 
 def test_closure_membership():
@@ -221,6 +226,96 @@ def test_flag_validation_catches_lies():
         dset(lambda u: len(u) <= 1, stab=1)
     with pytest.raises(PreconditionError):
         dset(lambda u: u in ((0, 0), (1, 1)), convex=True)
+
+
+CLAIM_WRAPPERS = {
+    "stab({x}, {k})": "stab",
+    "ext_closed({x})": "extension_closed",
+    "restr_closed({x})": "restriction_closed",
+    "convex({x})": "convex",
+    "coconvex({x})": "co_convex",
+}
+CLAIM_FIELDS = ("stab", "extension_closed", "restriction_closed", "convex", "co_convex")
+
+
+def declared(ds: DSet) -> dict:
+    return {name: getattr(ds, name) for name in CLAIM_FIELDS}
+
+
+def test_claim_validation_agrees_with_bruteforce():
+    # Random definition files wrap a set in one or two claims, some true
+    # and some lies; each wrapper is validated as it is parsed, inner first.
+    rng = random.Random(811)
+    outcomes = Counter()
+    for _ in range(300):
+        base = random_set_text(rng)
+        b = parse_specdoc(f"b = {base}\n").get_set("b")
+        claims = declared(b)
+        expected = None
+        text = "b"
+        for _ in range(rng.randrange(1, 3)):
+            wrapper = rng.choice(list(CLAIM_WRAPPERS))
+            k = rng.randrange(0, 10)
+            text = wrapper.format(x=text, k=k)
+            claims[CLAIM_WRAPPERS[wrapper]] = k if wrapper.startswith("stab") else True
+            expected = expected or brute_claim_violation(b.member, claims, 8)
+        spec = f"b = {base}\ns = {text}\n"
+        if expected is None:
+            parse_specdoc(spec)
+        else:
+            with pytest.raises(SpecError) as err:
+                parse_specdoc(spec)
+            assert err.value.line == 2 and str(err.value).split(": ", 1)[1] == expected, spec
+        outcomes[expected.split(" ", 1)[0] if expected else "accepted"] += 1
+    # random truth tables under random claims, at other horizons
+    for _ in range(300):
+        s = rng.randrange(0, 6)
+        ds = random_dset(rng, s, density=rng.choice((0.1, 0.5, 0.9)))
+        claims = {name: rng.random() < 0.4 for name in CLAIM_FIELDS[1:]}
+        claims["stab"] = rng.choice((None, s, rng.randrange(-1, 8)))
+        horizon = rng.randrange(0, 8)
+        expected = brute_claim_violation(ds.member, claims, horizon)
+        if expected is None:
+            validate_claims(DSet(ds.member_fn, **claims), horizon)
+        else:
+            with pytest.raises(PreconditionError) as err:
+                validate_claims(DSet(ds.member_fn, **claims), horizon)
+            assert str(err.value) == expected
+        outcomes[expected.split(" ", 1)[0] if expected else "accepted"] += 1
+    # both outcomes, and a failure of every claim, were seen
+    assert outcomes["accepted"] >= 50, outcomes
+    assert {"stab", "extension-closed", "restriction-closed", "convex",
+            "co-convex"} <= {key.split("=")[0] for key in outcomes}, outcomes
+
+
+def test_claim_validation_tests_each_base_word_once():
+    rng = random.Random(812)
+    for _ in range(40):
+        s = rng.randrange(0, 6)
+        table = random_dset(rng, s)
+        calls = Counter()
+
+        def base(u):
+            calls[u] += 1
+            return table.member(u)
+
+        flags = {name: rng.random() < 0.5 for name in CLAIM_FIELDS[2:]}
+        for ds in (DSet(base, stab=s, extension_closed=rng.random() < 0.5, **flags),
+                   # a closure asks its base about prefixes of the word asked
+                   DSet(closure(DSet(base)).member_fn, stab=s, extension_closed=True,
+                        **flags)):
+            calls.clear()
+            try:
+                validate_claims(ds)
+            except PreconditionError:
+                pass
+            assert set(calls) <= set(all_words(8))
+            assert max(calls.values()) == 1, calls.most_common(3)
+    # true claims are checked against every word up to the horizon
+    calls = Counter()
+    validate_claims(DSet(lambda u: calls.update([u]) or True, stab=0, extension_closed=True,
+                         restriction_closed=True, convex=True, co_convex=True))
+    assert calls == Counter(all_words(8))
 
 
 def test_stab_propagation():
