@@ -19,19 +19,18 @@ Layout, one KEY=VALUE per line:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import __version__
-from .continuity import eval_word, is_constant, residual
+from .continuity import eval_word, first_nonconstant, is_constant, least_escape
 from .errors import BudgetExceededError, FankitError
 from .sets import DSet, Outcome, avoid_height, bar_verdict, uniform_bound
 from .specfile import SpecDoc
 from .trees import complete, tree_levels
-from .words import Word, format_word, iter_level, parse_word
+from .words import Word, format_word, parse_word
 
 HEADER = "FANKIT-CERT"
 SEPARATOR = "--"
-
-_CHECKED_KEYS = ("COMMAND", "VERDICT", "BOUND", "WITNESS", "ESCAPE", "PATH")
 
 
 class CertificateFormatError(FankitError):
@@ -65,60 +64,22 @@ class Certificate:
 
     @staticmethod
     def parse(text: str) -> "Certificate":
+        """Read the layout `render` writes: header, COMMAND, VERDICT, payload,
+        separator, then advisory lines, of which TRACE and VERSION are kept."""
         lines = text.splitlines()
-        if not lines or lines[0] != HEADER:
-            raise CertificateFormatError(f"missing {HEADER} header")
-        command = None
-        verdict = None
-        payload: list[tuple[str, str]] = []
-        trace = ""
-        version = ""
-        in_advisory = False
-        for line in lines[1:]:
-            if line == SEPARATOR:
-                in_advisory = True
-                continue
+        if lines[:1] != [HEADER] or SEPARATOR not in lines:
+            raise CertificateFormatError(f"missing {HEADER} header or {SEPARATOR} separator")
+        end = lines.index(SEPARATOR)
+        pairs = []
+        for line in lines[1:end] + lines[end + 1:]:
             if "=" not in line:
                 raise CertificateFormatError(f"malformed line: {line!r}")
-            key, value = line.split("=", 1)
-            if in_advisory:
-                if key == "TRACE":
-                    trace = value
-                elif key == "VERSION":
-                    version = value
-                continue
-            if key == "COMMAND":
-                command = value
-            elif key == "VERDICT":
-                verdict = value
-            elif key in _CHECKED_KEYS:
-                payload.append((key, value))
-            else:
-                raise CertificateFormatError(f"unknown checked key {key!r}")
-        if command is None or verdict is None:
-            raise CertificateFormatError("certificate lacks COMMAND or VERDICT")
-        return Certificate(command, verdict, payload, trace, version)
-
-
-def _parse_command(command: str) -> tuple[str, dict[str, str]]:
-    parts = command.split()
-    if not parts:
-        raise CertificateFormatError("empty COMMAND")
-    sub = parts[0]
-    flags: dict[str, str] = {}
-    i = 1
-    while i < len(parts):
-        if not parts[i].startswith("--") or i + 1 >= len(parts):
-            raise CertificateFormatError(f"malformed COMMAND flag near {parts[i]!r}")
-        flags[parts[i][2:]] = parts[i + 1]
-        i += 2
-    return sub, flags
-
-
-def _flag(flags: dict[str, str], name: str) -> str:
-    if name not in flags:
-        raise CertificateFormatError(f"COMMAND lacks --{name}")
-    return flags[name]
+            pairs.append(tuple(line.split("=", 1)))
+        checked, advisory = pairs[:end - 1], dict(pairs[end - 1:])
+        if [key for key, _ in checked[:2]] != ["COMMAND", "VERDICT"]:
+            raise CertificateFormatError("certificate does not open with COMMAND and VERDICT")
+        return Certificate(checked[0][1], checked[1][1], checked[2:],
+                           advisory.get("TRACE", ""), advisory.get("VERSION", ""))
 
 
 def _count(text: str, what: str) -> int:
@@ -164,16 +125,26 @@ def _check_escape(carrier: DSet, w: Word) -> tuple[bool, list[str]]:
     return True, []
 
 
-def verify(cert: Certificate, doc: SpecDoc) -> tuple[bool, str]:
-    """Re-check a certificate against a spec document without oracles.
+def verify(cert: Certificate, doc: SpecDoc, check: Callable, values: list,
+           verdicts: dict[str, tuple[str, ...]]) -> tuple[bool, str]:
+    """Re-check a certificate against a spec document without oracles, by
+    its subcommand's `check(cert, doc, *values)` on the flag values read
+    from COMMAND=; `verdicts` maps each verdict to its payload keys.
 
     Returns (ok, report); the report explains every mismatch found.  A
     malformed certificate raises CertificateFormatError instead, and a
     re-check that would exceed the scan budget raises BudgetExceededError:
     neither says the certificate is wrong.
     """
+    sub = cert.command.split(" ", 1)[0]
+    keys = verdicts.get(cert.verdict)
+    if keys is None:
+        return False, f"verdict {cert.verdict} does not fit {sub}"
+    for key, _ in cert.payload:
+        if key not in keys:
+            return False, f"verdict {cert.verdict} with {key} does not fit {sub}"
     try:
-        ok, issues = _verify_inner(cert, doc)
+        ok, issues = check(cert, doc, *values)
     except (CertificateFormatError, BudgetExceededError):
         raise
     except FankitError as exc:
@@ -183,118 +154,111 @@ def verify(cert: Certificate, doc: SpecDoc) -> tuple[bool, str]:
     return False, "\n".join(issues) if issues else "certificate rejected"
 
 
-def _verify_inner(cert: Certificate, doc: SpecDoc) -> tuple[bool, list[str]]:
-    sub, flags = _parse_command(cert.command)
-
-    if sub in ("bar-check", "uniform-bound"):
-        carrier = doc.get_set(_flag(flags, "set"))
-        limit_flag = "depth" if sub == "bar-check" else "max"
-        limit = _count(_flag(flags, limit_flag), f"--{limit_flag}")
-        if cert.verdict == "YES":
-            n = _count(cert.single("BOUND"), "BOUND")
-            if n > limit:
-                return False, [f"bound {n} exceeds --{limit_flag} {limit}"]
-            return _check_uniform(carrier, n, least=True)
-        if cert.verdict == "NO" and sub == "bar-check":
-            w = _word(cert.single("ESCAPE"), "ESCAPE")
-            if len(w) != limit:
-                return False, [f"escape has length {len(w)}, not --depth {limit}"]
-            return _check_escape(carrier, w)
-        if cert.verdict == "UNKNOWN":
-            depth = _count(cert.single("BOUND"), "BOUND")
-            if depth != limit:
-                return False, [f"UNKNOWN names depth {depth}, not --{limit_flag} {limit}"]
-            if sub == "bar-check":
-                fresh = bar_verdict(carrier, depth)
-            else:
-                fresh = uniform_bound(carrier, depth)
-            if fresh.outcome is Outcome.UNKNOWN:
-                return True, []
-            return False, [f"re-scan to depth {depth} decided the question "
-                           f"({fresh.outcome.value}); UNKNOWN was wrong"]
-        return False, [f"verdict {cert.verdict} does not fit {sub}"]
-
-    if sub == "complete-tree":
-        t = doc.get_tree(_flag(flags, "tree"))
-        depth = _count(_flag(flags, "depth"), "--depth")
-        seen: dict[int, str] = {}
-        for value in cert.values("WITNESS"):
-            if ":" not in value:
-                return False, [f"malformed level listing {value!r}"]
-            idx, words = value.split(":", 1)
-            k = _count(idx, "WITNESS level")
-            if k > depth:
-                return False, [f"level {k} lies outside 0..{depth}"]
-            if k in seen:
-                return False, [f"level {k} is listed twice"]
-            seen[k] = words
-        issues = []
-        for k, members in enumerate(tree_levels(complete(t), depth)):
-            expected = " ".join(format_word(u) for u in members)
-            if seen.get(k) != expected:
-                issues.append(f"level {k}: certificate says {seen.get(k)!r}, "
-                              f"recomputation says {expected!r}")
-        return (not issues), issues
-
-    if sub == "find-path":
-        t = doc.get_tree(_flag(flags, "tree"))
-        bits = _count(_flag(flags, "bits"), "--bits")
-        path = _word(cert.single("PATH"), "PATH")
-        if len(path) != bits:
-            return False, [f"path has {len(path)} bits, not --bits {bits}"]
-        for k in range(1, len(path) + 1):
-            if not t.member(path[:k]):
-                return False, [f"path prefix {format_word(path[:k])} is not in the tree"]
-        return True, []
-
-    if sub == "coconvex-bound":
-        b = doc.get_bar(_flag(flags, "bar"))
+def _check_scan(cert: Certificate, carrier: DSet, limit: int, limit_flag: str,
+                rescan: Callable) -> tuple[bool, list[str]]:
+    if cert.verdict == "YES":
         n = _count(cert.single("BOUND"), "BOUND")
-        return _check_uniform(b.carrier, n)
-
-    if sub == "uc-bound":
-        f = doc.get_functional(_flag(flags, "fn"))
-        n = _count(cert.single("BOUND"), "BOUND")
-        for u in iter_level(n):
-            if not is_constant(residual(f, u)).constant:
-                return False, [f"residual below {format_word(u)} is not constant "
-                               f"at level {n}"]
+        if n > limit:
+            return False, [f"bound {n} exceeds {limit_flag} {limit}"]
+        return _check_uniform(carrier, n, least=True)
+    if cert.verdict == "NO":
+        w = _word(cert.single("ESCAPE"), "ESCAPE")
+        if len(w) != limit:
+            return False, [f"escape has length {len(w)}, not {limit_flag} {limit}"]
+        return _check_escape(carrier, w)
+    depth = _count(cert.single("BOUND"), "BOUND")
+    if depth != limit:
+        return False, [f"UNKNOWN names depth {depth}, not {limit_flag} {limit}"]
+    fresh = rescan(carrier, depth)
+    if fresh.outcome is Outcome.UNKNOWN:
         return True, []
+    return False, [f"re-scan to depth {depth} decided the question "
+                   f"({fresh.outcome.value}); UNKNOWN was wrong"]
 
-    if sub == "deco":
-        f = doc.get_functional(_flag(flags, "fn"))
-        if cert.verdict == "EXISTS":
-            raw = cert.single("WITNESS")
-            if ":" not in raw:
-                return False, [f"malformed witness pair {raw!r}"]
-            left, right = raw.split(":", 1)
-            a, b = _word(left, "WITNESS"), _word(right, "WITNESS")
-            if eval_word(f, a) == eval_word(f, b):
-                return False, ["witness prefixes evaluate to the same value"]
-            return True, []
-        if cert.verdict == "NOT_EXISTS":
-            verdict = is_constant(f)
-            if verdict.constant:
-                return True, []
-            return False, ["the functional is not constant; EXISTS was the truth"]
-        return False, [f"verdict {cert.verdict} does not fit deco"]
 
-    if sub == "defu":
-        d = doc.get_set(_flag(flags, "set"))
-        if cert.verdict == "EXISTS":
-            w = _word(cert.single("WITNESS"), "WITNESS")
-            if d.member(w):
-                return False, [f"claimed escape {format_word(w)} is inside the set"]
-            return True, []
-        if cert.verdict == "NOT_EXISTS":
-            if d.stab is None:
-                return False, ["cannot re-check NOT_EXISTS without a stabilization depth"]
-            for n in range(d.stab + 1):
-                for u in iter_level(n):
-                    if not d.member(u):
-                        return False, [f"word {format_word(u)} escapes the set; "
-                                       "EXISTS was the truth"]
-            return True, []
-        return False, [f"verdict {cert.verdict} does not fit defu"]
+def check_bar_check(cert: Certificate, doc: SpecDoc, name: str, depth: int):
+    return _check_scan(cert, doc.get_set(name), depth, "--depth", bar_verdict)
 
-    return False, [f"unknown command {sub!r}"]
+
+def check_uniform_bound(cert: Certificate, doc: SpecDoc, name: str, limit: int):
+    return _check_scan(cert, doc.get_set(name), limit, "--max", uniform_bound)
+
+
+def check_complete_tree(cert: Certificate, doc: SpecDoc, name: str, depth: int):
+    t = doc.get_tree(name)
+    seen: dict[int, str] = {}
+    for value in cert.values("WITNESS"):
+        if ":" not in value:
+            return False, [f"malformed level listing {value!r}"]
+        idx, words = value.split(":", 1)
+        k = _count(idx, "WITNESS level")
+        if k > depth:
+            return False, [f"level {k} lies outside 0..{depth}"]
+        if k in seen:
+            return False, [f"level {k} is listed twice"]
+        seen[k] = words
+    issues = []
+    for k, members in enumerate(tree_levels(complete(t), depth)):
+        expected = " ".join(format_word(u) for u in members)
+        if seen.get(k) != expected:
+            issues.append(f"level {k}: certificate says {seen.get(k)!r}, "
+                          f"recomputation says {expected!r}")
+    return (not issues), issues
+
+
+def check_find_path(cert: Certificate, doc: SpecDoc, name: str, bits: int, horizon: int):
+    t = doc.get_tree(name)
+    path = _word(cert.single("PATH"), "PATH")
+    if len(path) != bits:
+        return False, [f"path has {len(path)} bits, not --bits {bits}"]
+    for k in range(1, len(path) + 1):
+        if not t.member(path[:k]):
+            return False, [f"path prefix {format_word(path[:k])} is not in the tree"]
+    return True, []
+
+
+def check_coconvex_bound(cert: Certificate, doc: SpecDoc, name: str):
+    b = doc.get_bar(name)
+    n = _count(cert.single("BOUND"), "BOUND")
+    return _check_uniform(b.carrier, n)
+
+
+def check_uc_bound(cert: Certificate, doc: SpecDoc, name: str, via_fan: bool):
+    """Both forms, with or without --via-fan: every residual at BOUND is constant."""
+    f = doc.get_functional(name)
+    n = _count(cert.single("BOUND"), "BOUND")
+    u = first_nonconstant(f, n)
+    if u is not None:
+        return False, [f"residual below {format_word(u)} is not constant at level {n}"]
+    return True, []
+
+
+def check_deco(cert: Certificate, doc: SpecDoc, name: str):
+    f = doc.get_functional(name)
+    if cert.verdict == "EXISTS":
+        raw = cert.single("WITNESS")
+        if ":" not in raw:
+            return False, [f"malformed witness pair {raw!r}"]
+        left, right = raw.split(":", 1)
+        a, b = _word(left, "WITNESS"), _word(right, "WITNESS")
+        if eval_word(f, a) == eval_word(f, b):
+            return False, ["witness prefixes evaluate to the same value"]
+        return True, []
+    if is_constant(f).constant:
+        return True, []
+    return False, ["the functional is not constant; EXISTS was the truth"]
+
+
+def check_defu(cert: Certificate, doc: SpecDoc, name: str, horizon: int):
+    d = doc.get_set(name)
+    if cert.verdict == "EXISTS":
+        w = _word(cert.single("WITNESS"), "WITNESS")
+        if d.member(w):
+            return False, [f"claimed escape {format_word(w)} is inside the set"]
+        return True, []
+    if d.stab is None:
+        return False, ["cannot re-check NOT_EXISTS without a stabilization depth"]
+    u = least_escape(d, d.stab)
+    if u is not None:
+        return False, [f"word {format_word(u)} escapes the set; EXISTS was the truth"]
+    return True, []

@@ -10,9 +10,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Callable
+from collections import namedtuple
 
-from .certificate import Certificate, CertificateFormatError, verify
+from .certificate import (Certificate, CertificateFormatError, _count, check_bar_check,
+                          check_coconvex_bound, check_complete_tree, check_deco,
+                          check_defu, check_find_path, check_uc_bound,
+                          check_uniform_bound, verify)
 from .continuity import deco_decide, defu_via_wkl, path_modulus, \
     uc_bound_bruteforce, uc_via_fan
 from .errors import (BudgetExceededError, CertificateError, FankitError,
@@ -22,7 +25,7 @@ from .fan import coconvex_bound, fan_bruteforce
 from .oracles import WKLOracle, llpo_bounded_oracle, wkl_from_llpo, \
     wkl_oracle_from_llpo
 from .sets import Outcome, bar_verdict, uniform_bound
-from .specfile import SpecDoc, SpecError, load_specdoc
+from .specfile import SpecError, load_specdoc
 from .trees import complete, tree_levels
 from .words import format_word, restrict
 
@@ -60,82 +63,60 @@ def _oracle_horizon(text: str) -> int:
     return horizon
 
 
-def _do_bar_check(args, doc) -> tuple[int, Certificate]:
-    carrier = doc.get_set(args.set)
-    verdict = bar_verdict(carrier, args.depth)
-    command = f"bar-check --set {args.set} --depth {args.depth}"
+def _do_bar_check(doc, name, depth):
+    verdict = bar_verdict(doc.get_set(name), depth)
     if verdict.outcome is Outcome.YES:
-        return EXIT_YES, Certificate(command, "YES", [("BOUND", str(verdict.bound))])
+        return "YES", [("BOUND", str(verdict.bound))], ""
     if verdict.outcome is Outcome.NO:
-        escape = format_word(restrict(verdict.escape, args.depth))
-        return EXIT_NO, Certificate(command, "NO", [("ESCAPE", escape)])
-    return EXIT_UNKNOWN, Certificate(command, "UNKNOWN", [("BOUND", str(verdict.depth))])
+        return "NO", [("ESCAPE", format_word(restrict(verdict.escape, depth)))], ""
+    return "UNKNOWN", [("BOUND", str(verdict.depth))], ""
 
 
-def _do_uniform_bound(args, doc) -> tuple[int, Certificate]:
-    carrier = doc.get_set(args.set)
-    verdict = uniform_bound(carrier, args.max)
-    command = f"uniform-bound --set {args.set} --max {args.max}"
+def _do_uniform_bound(doc, name, limit):
+    verdict = uniform_bound(doc.get_set(name), limit)
     if verdict.outcome is Outcome.YES:
-        return EXIT_YES, Certificate(command, "YES", [("BOUND", str(verdict.bound))])
-    return EXIT_UNKNOWN, Certificate(command, "UNKNOWN", [("BOUND", str(verdict.depth))])
+        return "YES", [("BOUND", str(verdict.bound))], ""
+    return "UNKNOWN", [("BOUND", str(verdict.depth))], ""
 
 
-def _do_complete_tree(args, doc) -> tuple[int, Certificate]:
-    t = doc.get_tree(args.tree)
-    completed = complete(t)
-    command = f"complete-tree --tree {args.tree} --depth {args.depth}"
+def _do_complete_tree(doc, name, depth):
+    completed = complete(doc.get_tree(name))
     payload = [("WITNESS", f"{k}:{' '.join(format_word(u) for u in members)}")
-               for k, members in enumerate(tree_levels(completed, args.depth))]
-    return EXIT_YES, Certificate(command, "YES", payload)
+               for k, members in enumerate(tree_levels(completed, depth))]
+    return "YES", payload, ""
 
 
-def _do_find_path(args, doc) -> tuple[int, Certificate]:
-    t = doc.get_tree(args.tree)
-    horizon = _oracle_horizon(args.oracle)
-    gen = wkl_from_llpo(t, llpo_bounded_oracle(horizon), fuel=max(64, args.bits))
-    path = gen.take(args.bits)
-    command = f"find-path --tree {args.tree} --bits {args.bits} --oracle llpo:{horizon}"
-    cert = Certificate(command, "YES", [("PATH", format_word(path))],
-                       trace=";".join(gen.trace))
-    return EXIT_YES, cert
+def _do_find_path(doc, name, bits, horizon):
+    gen = wkl_from_llpo(doc.get_tree(name), llpo_bounded_oracle(horizon), fuel=max(64, bits))
+    path = gen.take(bits)
+    return "YES", [("PATH", format_word(path))], ";".join(gen.trace)
 
 
-def _do_coconvex_bound(args, doc) -> tuple[int, Certificate]:
-    b = doc.get_bar(args.bar)
-    n = coconvex_bound(b)
-    command = f"coconvex-bound --bar {args.bar}"
-    return EXIT_YES, Certificate(command, "YES", [("BOUND", str(n))])
+def _do_coconvex_bound(doc, name):
+    return "YES", [("BOUND", str(coconvex_bound(doc.get_bar(name))))], ""
 
 
-def _do_uc_bound(args, doc) -> tuple[int, Certificate]:
-    f = doc.get_functional(args.fn)
-    command = f"uc-bound --fn {args.fn}"
-    if args.via_fan:
+def _do_uc_bound(doc, name, via_fan):
+    f = doc.get_functional(name)
+    if via_fan:
         fan = fan_bruteforce(max_n=32)
         n = uc_via_fan(f, path_modulus(f), fan)
-        trace = f"fan[{fan.tag}]={n}"
-    else:
-        n = uc_bound_bruteforce(f)
-        trace = ""
-    return EXIT_YES, Certificate(command, "YES", [("BOUND", str(n))], trace=trace)
+        return "YES", [("BOUND", str(n))], f"fan[{fan.tag}]={n}"
+    return "YES", [("BOUND", str(uc_bound_bruteforce(f)))], ""
 
 
-def _do_deco(args, doc) -> tuple[int, Certificate]:
-    f = doc.get_functional(args.fn)
-    verdict = deco_decide(f)
-    command = f"deco --fn {args.fn}"
+def _do_deco(doc, name):
+    verdict = deco_decide(doc.get_functional(name))
     if verdict.exists:
         left, right = verdict.witnesses
         # deco witnesses are finite prefixes padded with zeros
         pair = f"{format_word(left.prefix)}:{format_word(right.prefix)}"
-        return EXIT_YES, Certificate(command, "EXISTS", [("WITNESS", pair)])
-    return EXIT_YES, Certificate(command, "NOT_EXISTS", [])
+        return "EXISTS", [("WITNESS", pair)], ""
+    return "NOT_EXISTS", [], ""
 
 
-def _do_defu(args, doc) -> tuple[int, Certificate]:
-    d = doc.get_set(args.set)
-    horizon = _oracle_horizon(args.oracle)
+def _do_defu(doc, name, horizon):
+    d = doc.get_set(name)
     captured = []
     base = wkl_oracle_from_llpo(llpo_bounded_oracle(horizon))
 
@@ -145,63 +126,101 @@ def _do_defu(args, doc) -> tuple[int, Certificate]:
         return gen
 
     verdict = defu_via_wkl(d, WKLOracle(solve, tag=base.tag))
-    command = f"defu --set {args.set} --oracle llpo:{horizon}"
     trace = ";".join(captured[0].trace) if captured else ""
     if verdict.exists:
-        return EXIT_YES, Certificate(command, "EXISTS",
-                                     [("WITNESS", format_word(verdict.witness))],
-                                     trace=trace)
-    return EXIT_YES, Certificate(command, "NOT_EXISTS", [], trace=trace)
+        return "EXISTS", [("WITNESS", format_word(verdict.witness))], trace
+    return "NOT_EXISTS", [], trace
 
 
-def _do_verify(args, doc) -> tuple[int, str]:
+def _do_verify(doc, path) -> tuple[int, str]:
     try:
-        with open(args.cert, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read certificate: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CertificateFormatError(f"certificate is not UTF-8 text: {exc.reason}") from exc
     cert = Certificate.parse(text)
-    ok, report = verify(cert, doc)
+    command, values = _read_command(cert.command)
+    ok, report = verify(cert, doc, command.check, values, command.verdicts)
     if ok:
         return EXIT_YES, "VERIFY=OK\n"
     lines = "\n".join("DIFF=" + line for line in report.splitlines())
     return EXIT_NO, f"VERIFY=FAIL\n{lines}\n"
 
 
-class Command:
-    """One subcommand: its flags after --spec, as keyword arguments of
-    argparse's add_argument, and the step that answers it from the parsed
-    arguments and the loaded definition file (a certificate, or the
-    verify report).  A plain class: a dataclass would cost every import
-    of the CLI about a millisecond."""
+# One kind of flag: its argparse options, how the parsed text becomes the
+# value the steps see (take), and how COMMAND= writes that value (show)
+# and reads it back (read, from the text and the flag, as strictly as _count).
+Flag = namedtuple("Flag", "options take show read")
+_NAME = Flag({"required": True}, str, str, lambda text, flag: text)
+_COUNT = Flag({"type": nonnegative_int, "required": True}, int, str, _count)
+_ORACLE = Flag({"default": "llpo:16"}, _oracle_horizon, "llpo:{}".format,
+              lambda text, flag: _count(text.removeprefix("llpo:"), flag))
+_SWITCH = Flag({"action": "store_true"}, bool, None, None)  # written only when set
 
-    __slots__ = ("flags", "step")
-
-    def __init__(self, flags: dict[str, dict],
-                 step: Callable[[argparse.Namespace, SpecDoc], tuple[int, Certificate | str]]):
-        self.flags = flags
-        self.step = step
-
-
-_NAME = {"required": True}
-_COUNT = {"type": nonnegative_int, "required": True}
-_ORACLE = {"default": "llpo:16"}
+# One subcommand: its flags after --spec, in COMMAND= order; the verdicts
+# its step writes, with the payload keys of each; the step, called with the
+# definition file and the flag values, which returns (verdict, payload,
+# trace), or for verify (exit code, report); and the re-check verify runs
+# on its certificates.
+Command = namedtuple("Command", "flags verdicts step check", defaults=(None,))
 
 COMMANDS: dict[str, Command] = {
-    "bar-check": Command({"--set": _NAME, "--depth": _COUNT}, _do_bar_check),
-    "uniform-bound": Command({"--set": _NAME, "--max": _COUNT}, _do_uniform_bound),
-    "complete-tree": Command({"--tree": _NAME, "--depth": _COUNT}, _do_complete_tree),
+    "bar-check": Command({"--set": _NAME, "--depth": _COUNT},
+                         {"YES": ("BOUND",), "NO": ("ESCAPE",), "UNKNOWN": ("BOUND",)},
+                         _do_bar_check, check_bar_check),
+    "uniform-bound": Command({"--set": _NAME, "--max": _COUNT},
+                             {"YES": ("BOUND",), "UNKNOWN": ("BOUND",)},
+                             _do_uniform_bound, check_uniform_bound),
+    "complete-tree": Command({"--tree": _NAME, "--depth": _COUNT}, {"YES": ("WITNESS",)},
+                             _do_complete_tree, check_complete_tree),
     "find-path": Command({"--tree": _NAME, "--bits": _COUNT, "--oracle": _ORACLE},
-                         _do_find_path),
-    "coconvex-bound": Command({"--bar": _NAME}, _do_coconvex_bound),
-    "uc-bound": Command({"--fn": _NAME, "--via-fan": {"action": "store_true"}},
-                        _do_uc_bound),
-    "deco": Command({"--fn": _NAME}, _do_deco),
-    "defu": Command({"--set": _NAME, "--oracle": _ORACLE}, _do_defu),
-    "verify": Command({"--cert": _NAME}, _do_verify),
+                         {"YES": ("PATH",)}, _do_find_path, check_find_path),
+    "coconvex-bound": Command({"--bar": _NAME}, {"YES": ("BOUND",)},
+                              _do_coconvex_bound, check_coconvex_bound),
+    "uc-bound": Command({"--fn": _NAME, "--via-fan": _SWITCH}, {"YES": ("BOUND",)},
+                        _do_uc_bound, check_uc_bound),
+    "deco": Command({"--fn": _NAME}, {"EXISTS": ("WITNESS",), "NOT_EXISTS": ()},
+                    _do_deco, check_deco),
+    "defu": Command({"--set": _NAME, "--oracle": _ORACLE},
+                    {"EXISTS": ("WITNESS",), "NOT_EXISTS": ()}, _do_defu, check_defu),
+    "verify": Command({"--cert": _NAME}, {}, _do_verify),
 }
+
+EXIT_CODES = {"YES": EXIT_YES, "EXISTS": EXIT_YES, "NOT_EXISTS": EXIT_YES,
+              "NO": EXIT_NO, "UNKNOWN": EXIT_UNKNOWN}
+
+
+def _command_line(name: str, command: Command, values: list) -> str:
+    """COMMAND=: the subcommand, then each flag and its value in table order."""
+    words = [name]
+    for (flag, kind), value in zip(command.flags.items(), values):
+        if kind is not _SWITCH:
+            words += (flag, kind.show(value))
+        elif value:
+            words.append(flag)
+    return " ".join(words)
+
+
+def _read_command(line: str) -> tuple[Command, list]:
+    """The record and flag values of a COMMAND= line.  A line the values do
+    not write back byte for byte (an unknown, repeated, reordered or missing
+    flag, a number written otherwise) is not the producer's: a format error."""
+    name, *tokens = line.split(" ")
+    command = COMMANDS.get(name)
+    if command is None or command.check is None:
+        raise CertificateFormatError(f"unknown command {name!r:.40}")
+    found = {}
+    rest = iter(tokens)
+    for token in rest:
+        kind = command.flags.get(token)
+        if kind is not None:
+            found[token] = True if kind is _SWITCH else kind.read(next(rest, ""), token)
+    values = [found.get(flag) for flag in command.flags]
+    if _command_line(name, command, values) != line:
+        raise CertificateFormatError(f"COMMAND is not as the producer writes it: {line!r:.80}")
+    return command, values
 
 
 @functools.cache
@@ -213,8 +232,8 @@ def _parser() -> _Parser:
     for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="definition file")
-        for flag, options in command.flags.items():
-            p.add_argument(flag, **options)
+        for flag, kind in command.flags.items():
+            p.add_argument(flag, **kind.options)
     return parser
 
 
@@ -230,9 +249,15 @@ def run(argv: list[str]) -> tuple[int, str]:
         return EXIT_USAGE, f"ERROR=spec: {exc}\n"
     except BudgetExceededError as exc:
         return EXIT_UNKNOWN, f"ERROR={type(exc).__name__}: {exc}\n"
+    command = COMMANDS[args.command]
     try:
-        code, out = COMMANDS[args.command].step(args, doc)
-        return code, out.render() if isinstance(out, Certificate) else out
+        values = [kind.take(getattr(args, flag[2:].replace("-", "_")))
+                  for flag, kind in command.flags.items()]
+        if command.check is None:
+            return command.step(doc, *values)
+        verdict, payload, trace = command.step(doc, *values)
+        cert = Certificate(_command_line(args.command, command, values), verdict, payload, trace)
+        return EXIT_CODES[verdict], cert.render()
     except (UsageError, PreconditionError, SpecError, OutOfRangeError,
             CertificateFormatError) as exc:
         return EXIT_USAGE, f"ERROR={type(exc).__name__}: {exc}\n"

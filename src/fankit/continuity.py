@@ -155,12 +155,21 @@ def pointwise_modulus(f: AnyFunctional, alpha: Seq) -> int:
     return max((i for i, _ in log), default=-1) + 1
 
 
+def first_nonconstant(f: Functional, n: int) -> Word | None:
+    """First level-n word below which f is not constant, or None when
+    every residual at level n is constant."""
+    for u in iter_level(n):
+        if not is_constant(residual(f, u)).constant:
+            return u
+    return None
+
+
 def uc_bound_bruteforce(f: Functional) -> int:
     """Least level at which every residual is constant."""
     top = query_depth(f)
     check_enumeration(1 << (top + 1))
     for n in range(top + 1):
-        if all(is_constant(residual(f, u)).constant for u in iter_level(n)):
+        if first_nonconstant(f, n) is None:
             return n
     return top
 
@@ -271,7 +280,6 @@ def uc_via_fan(f: AnyFunctional, m: Functional, fan: FanOracle) -> int:
     _spot_check_modulus(f, m)
     n = fan.bound(bar_from_pc(m))
     if isinstance(f, ProgramFunctional):
-        check_enumeration(1 << n)
         tails = (ZERO, ONE, _ALT)
         for u in iter_level(n):
             got = {evaluate(f, concat(u, tail)) for tail in tails}
@@ -280,12 +288,11 @@ def uc_via_fan(f: AnyFunctional, m: Functional, fan: FanOracle) -> int:
                     f"program values split below {format_word(u)}; "
                     "the modulus assertion was false")
     else:
-        check_enumeration(1 << n)
-        for u in iter_level(n):
-            if not is_constant(residual(f, u)).constant:
-                raise CertificateError(
-                    f"residual below {format_word(u)} is not constant; "
-                    "the modulus assertion was false")
+        u = first_nonconstant(f, n)
+        if u is not None:
+            raise CertificateError(
+                f"residual below {format_word(u)} is not constant; "
+                "the modulus assertion was false")
     return n
 
 
@@ -345,12 +352,14 @@ class DefuVerdict:
     witness: Word | None = None
 
 
-def _least_escape_level(d: DSet, s: int) -> int | None:
-    """Least level up to the stabilization depth holding a word outside d."""
+def least_escape(d: DSet, s: int) -> Word | None:
+    """First word outside d, shortest first and then in lexicographic
+    order, among the words up to the stabilization depth s."""
     check_enumeration(1 << (s + 1))
     for n in range(s + 1):
-        if any(not d.member(u) for u in iter_level(n)):
-            return n
+        for u in iter_level(n):
+            if not d.member(u):
+                return u
     return None
 
 
@@ -365,7 +374,8 @@ def defu_via_wkl(d: DSet, wkl: WKLOracle) -> DefuVerdict:
     if d.stab is None:
         raise PreconditionError("set needs a declared stabilization depth")
     s = d.stab
-    e = _least_escape_level(d, s)
+    escape = least_escape(d, s)
+    e = None if escape is None else len(escape)
 
     def t_member(u: Word) -> bool:
         if e is None or len(u) < e:

@@ -106,6 +106,9 @@ def test_run_uc_bound(tmp_path):
                         "--fn", "q2", "--via-fan"])
     assert code2 == 0
     assert "BOUND=3" in text2
+    assert "COMMAND=uc-bound --fn q2\n" in text
+    assert "COMMAND=uc-bound --fn q2 --via-fan\n" in text2
+    assert verify_text(tmp_path, write_spec(tmp_path), text2) == (0, "VERIFY=OK\n")
 
 
 def test_run_complete_tree(tmp_path):
@@ -231,6 +234,13 @@ def test_verify_requires_the_least_bound_within_the_depth(tmp_path):
                         "bound 4 is not the least")
         assert_rejected(tmp_path, spec, text.replace("BOUND=3", "BOUND=2"),
                         "at level 2 has no prefix")
+    # payload keys the producer never writes with this verdict
+    for extra in ("PATH=0101", "WITNESS=junk"):
+        assert_rejected(tmp_path, spec, text.replace("BOUND=3\n", f"BOUND=3\n{extra}\n"),
+                        f"verdict YES with {extra.split('=')[0]} does not fit uniform-bound")
+    code, text = run(["bar-check", "--spec", spec, "--set", "len3", "--depth", "6"])
+    extra = text.replace("BOUND=3\n", "BOUND=3\nPATH=0101\nWITNESS=junk\n")
+    assert_rejected(tmp_path, spec, extra, "verdict YES with PATH does not fit bar-check")
 
 
 def test_verify_rejects_mutated_unknown_and_escape(tmp_path):
@@ -242,6 +252,12 @@ def test_verify_rejects_mutated_unknown_and_escape(tmp_path):
     assert code == 1 and verify_text(tmp_path, spec, text)[0] == 0
     assert_rejected(tmp_path, spec, text.replace("ESCAPE=0000", "ESCAPE=000"),
                     "not --depth 4")
+    code, text = run(["uc-bound", "--spec", spec, "--fn", "q2"])
+    assert code == 0 and verify_text(tmp_path, spec, text)[0] == 0
+    assert_rejected(tmp_path, spec, text.replace("VERDICT=YES", "VERDICT=BANANA"),
+                    "verdict BANANA does not fit uc-bound")
+    assert_rejected(tmp_path, spec, text.replace("BOUND=3", "BOUND=2"),
+                    "is not constant at level 2")
 
 
 def test_verify_rejects_mutated_level_listings(tmp_path):
@@ -254,6 +270,8 @@ def test_verify_rejects_mutated_level_listings(tmp_path):
     assert_rejected(tmp_path, spec, repeated, "level 1 is listed twice")
     dropped = text.replace("WITNESS=2:00\n", "")
     assert_rejected(tmp_path, spec, dropped, "level 2: certificate says None")
+    assert_rejected(tmp_path, spec, text.replace("VERDICT=YES", "VERDICT=BANANA"),
+                    "verdict BANANA does not fit complete-tree")
 
 
 def test_verify_rejects_a_path_of_the_wrong_length(tmp_path):
@@ -265,6 +283,8 @@ def test_verify_rejects_a_path_of_the_wrong_length(tmp_path):
                     "path has 0 bits, not --bits 6")
     assert_rejected(tmp_path, spec, text.replace("PATH=000000", "PATH=00000"),
                     "path has 5 bits")
+    assert_rejected(tmp_path, spec, text.replace("VERDICT=YES", "VERDICT=BANANA"),
+                    "verdict BANANA does not fit find-path")
 
 
 def test_malformed_certificates_are_format_errors(tmp_path):
@@ -281,11 +301,40 @@ def test_malformed_certificates_are_format_errors(tmp_path):
         ("uniform-bound --set len2 --max 8", [("BOUND", "\uff12")]),  # full-width 2
         ("uniform-bound --set len2 --max 8", [("BOUND", "9" * 5000)]),
         ("complete-tree --tree zt --depth " + "9" * 5000, [("WITNESS", "0:e")]),
+        # COMMAND lines the producer never writes
+        ("bar-check --set len2 --depth 3 --bogus 1", [("BOUND", "2")]),
+        ("bar-check --depth 9 --set len2 --depth 3", [("BOUND", "2")]),
+        ("bar-check --depth 3 --set len2", [("BOUND", "2")]),
+        ("bar-check --set len2 --depth 03", [("BOUND", "2")]),
+        ("bar-check --set len2 --depth +3", [("BOUND", "2")]),
+        ("find-path --tree zt --bits 2", [("PATH", "00")]),
+        ("find-path --tree zt --bits 2 --oracle llpo:016", [("PATH", "00")]),
+        ("find-path --tree zt --bits 2 --oracle llpo:x", [("PATH", "00")]),
+        ("find-path --tree zt --bits 2 --oracle 8", [("PATH", "00")]),
+        ("uc-bound --fn q2 --via-fan x", [("BOUND", "3")]),
+        ("uc-bound --fn q2 --via-fan --via-fan", [("BOUND", "3")]),
+        ("verify --cert x", []),
+        ("", [("BOUND", "2")]),
     ):
         text = Certificate(command, "YES", payload).render()
         code, out = verify_text(tmp_path, spec, text)
         assert code == 3, (command, payload, out)
         assert out.startswith("ERROR=CertificateFormatError"), out
+    # the layout render writes: COMMAND and VERDICT open the checked region,
+    # once each, and the separator ends it
+    good = "FANKIT-CERT\nCOMMAND=uniform-bound --set len2 --max 8\nVERDICT=YES\nBOUND=2\n--\n"
+    assert verify_text(tmp_path, spec, good) == (0, "VERIFY=OK\n")
+    for text in (good.replace("COMMAND=uniform-bound --set len2 --max 8\nVERDICT=YES",
+                              "VERDICT=YES\nCOMMAND=uniform-bound --set len2 --max 8"),
+                 good.replace("COMMAND=uniform-bound --set len2 --max 8\nVERDICT=YES",
+                              "VERDICT=uniform-bound --set len2 --max 8\nCOMMAND=YES"),
+                 good.replace("VERDICT=YES\n", "VERDICT=NO\nVERDICT=YES\n"),
+                 good.replace("BOUND=2\n", "BOUND=2\nCOMMAND=uniform-bound --set len2 --max 8\n"),
+                 good.replace("--\n", ""),
+                 good.replace("FANKIT-CERT\n", "")):
+        code, out = verify_text(tmp_path, spec, text)
+        assert code != 0 and out.startswith(("ERROR=CertificateFormatError", "VERIFY=FAIL")), \
+            (text, out)
     code, out = run(["verify", "--spec", spec, "--cert", str(tmp_path / "missing.txt")])
     assert code == 3 and out.startswith("ERROR=")
 
@@ -359,6 +408,21 @@ def test_deep_scans_and_small_budgets_fail_cleanly(tmp_path, monkeypatch):
     code, text = run(["complete-tree", "--spec", spec, "--tree", "t", "--depth", "4"])
     assert code == 2 and text.startswith("ERROR=BudgetExceededError"), text
     assert "claim validation to horizon 8 needs 512 words, budget 256" in text, text
+
+
+def test_defu_not_exists_is_rechecked_within_the_producers_budget(tmp_path, monkeypatch):
+    # the producer scans levels 0..9 under one charge of 2^10 words; the
+    # re-check charges the same, so it refuses exactly where the producer does
+    spec = write_spec(tmp_path, "full = stab(len_ge(0), 9)\n")
+    code, text = run(["defu", "--spec", spec, "--set", "full"])
+    assert code == 0 and "VERDICT=NOT_EXISTS" in text
+    for budget, expected in (("1023", 2), ("1024", 0)):
+        monkeypatch.setenv("FANKIT_BUDGET", budget)
+        assert run(["defu", "--spec", spec, "--set", "full"])[0] == expected
+        code, out = verify_text(tmp_path, spec, text)
+        assert code == expected, out
+        assert out == ("VERIFY=OK\n" if expected == 0 else
+                       f"ERROR=BudgetExceededError: scan of 1024 words exceeds budget {budget}\n")
 
 
 def test_non_utf8_text_and_unreadable_digits_exit_3(tmp_path):
@@ -572,3 +636,89 @@ def test_mini_fuzz_round_trip(tmp_path):
     rng = random.Random(99)
     for idx in range(60):
         run_fuzz_case(rng, tmp_path, idx)
+
+
+# ---------------------------------------------------------------------------
+# Certificate mutants: no traceback, and no pass for a mutant the producer
+# would never write.
+
+VERDICTS = ("YES", "NO", "UNKNOWN", "EXISTS", "NOT_EXISTS")
+
+
+def command_mutants(command):
+    """Forms of a COMMAND line the producer never writes."""
+    sub, *tokens = command.split(" ")
+    groups = []  # a flag with its value, or a switch alone
+    for token in tokens:
+        if token.startswith("--"):
+            groups.append([token])
+        else:
+            groups[-1].append(token)
+
+    def line(gs):
+        return " ".join([sub] + [t for g in gs for t in g])
+
+    yield command + " --bogus 1"
+    yield command + " --via-fan x"
+    yield line(groups + groups[:1])  # a repeated flag
+    if len(groups) > 1:
+        yield line(groups[1:] + groups[:1])
+    for i, group in enumerate(groups):
+        if len(group) == 2:
+            yield line(groups[:i] + groups[i + 1:])  # a missing flag
+            value = group[1]
+            forms = ["0" + value, "+" + value] if value.isdigit() else []
+            if value.startswith("llpo:"):
+                forms.append("llpo:0" + value[5:])
+            for form in forms:
+                yield line(groups[:i] + [[group[0], form]] + groups[i + 1:])
+    yield sub.upper() + command[len(sub):]
+
+
+def certificate_mutants(text):
+    """(mutant text, must it be rejected) pairs for one certificate."""
+    lines = text.split("\n")
+    end = lines.index("--")
+
+    def with_line(i, new):
+        return "\n".join(lines[:i] + new + lines[i + 1:])
+
+    for verdict in VERDICTS:
+        if lines[2] != f"VERDICT={verdict}":
+            yield with_line(2, [f"VERDICT={verdict}"]), True
+    for command in command_mutants(lines[1][len("COMMAND="):]):
+        yield with_line(1, [f"COMMAND={command}"]), True
+    keys = {line.split("=", 1)[0] for line in lines[3:end]}
+    for extra in ("BOUND=1", "WITNESS=0", "ESCAPE=0", "PATH=0", "FOO=1"):
+        if extra.split("=", 1)[0] not in keys:
+            yield with_line(2, [lines[2], extra]), True
+    for i in range(3, end):
+        key, value = lines[i].split("=", 1)
+        yield with_line(i, []), False
+        yield with_line(i, [lines[i], lines[i]]), False
+        if key == "BOUND":
+            for n in (int(value) - 1, int(value) + 1):
+                yield with_line(i, [f"BOUND={n}"]), False
+        if key == "PATH":
+            yield with_line(i, [f"PATH={value[:-1] or 'e'}"]), False
+
+
+def test_certificate_mutants_never_pass_or_crash(tmp_path):
+    rng = random.Random(7)
+    cases = [fuzz_case(rng, tmp_path, idx) for idx in range(40)]
+    # the corpus rarely draws a bar-check UNKNOWN
+    cases.append((["--spec", write_spec(tmp_path)], ["bar-check", "--set", "ones", "--depth", "6"],
+                  tmp_path / "defs.fankit"))
+    seen = set()
+    for spec_flag, argv, spec_path in cases:
+        code, text = run(argv[:1] + spec_flag + argv[1:])
+        assert text.startswith("FANKIT-CERT"), text
+        for mutant, must_fail in certificate_mutants(text):
+            code, out = verify_text(tmp_path, str(spec_path), mutant)
+            assert out.startswith(("VERIFY=", "ERROR=")), (mutant, out)
+            assert code in (0, 1, 2, 3), (mutant, out)
+            assert not (must_fail and code == 0), (mutant, out)
+            seen.add((must_fail, code))
+    # both rejections (exit 1) and format errors (exit 3) are reached, and
+    # some harmless mutants (a larger uc-bound BOUND) still verify
+    assert {(True, 1), (True, 3), (False, 0), (False, 1)} <= seen, seen
