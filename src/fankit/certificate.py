@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import __version__
-from .continuity import eval_word, first_nonconstant, is_constant, least_escape
+from ._budget import ScanMeter
+from .continuity import Functional, Leaf, Node, eval_word, is_constant, least_escape
 from .errors import BudgetExceededError, FankitError
 from .sets import DSet, Outcome, avoid_height, bar_verdict, uniform_bound
 from .specfile import SpecDoc
@@ -223,13 +224,73 @@ def check_coconvex_bound(cert: Certificate, doc: SpecDoc, name: str):
     return _check_uniform(b.carrier, n)
 
 
+class _Split(Exception):
+    """Two leaves with different values below one word (their bits below n)."""
+
+
+def _level_split(f: Functional, n: int, meter: ScanMeter) -> Word | None:
+    """A level-n word below which f takes two values; None when f is
+    constant below every level-n word.
+
+    Two feasible leaves lie below one level-n word exactly when their
+    paths agree on every index below n that both fix.  The leaves below
+    the two branches of a node with index i disagree at i, so only nodes
+    with index at least n need their branches compared.  A walk of the
+    feasible paths hands each such node the leaves of both branches,
+    cut down to (bits below n, value) and merged when equal, and compares
+    them pair by pair.  Each node and each pair is charged to the meter.
+    """
+    assign: dict[int, int] = {}
+
+    def walk(node: Functional, keep: bool) -> set | None:
+        while isinstance(node, Node) and node.index in assign:
+            node = node.high if assign[node.index] else node.low
+        meter.tick()
+        if isinstance(node, Leaf):
+            if not keep:
+                return None
+            return {(frozenset((k, b) for k, b in assign.items() if k < n), node.value)}
+        i = node.index
+        keep_below = keep or i >= n
+        assign[i] = 0
+        low = walk(node.low, keep_below)
+        assign[i] = 1
+        high = walk(node.high, keep_below)
+        del assign[i]
+        if i >= n:
+            for low_bits, low_value in low:
+                for high_bits, high_value in high:
+                    meter.tick()
+                    if low_value != high_value and \
+                            not any((k, 1 - b) in low_bits for k, b in high_bits):
+                        raise _Split(low_bits | high_bits)
+        if not keep:
+            return None
+        if len(low) < len(high):
+            low, high = high, low
+        low |= high
+        return low
+
+    try:
+        walk(f, False)
+    except _Split as split:
+        bits = dict(split.args[0])
+        return tuple(bits.get(k, 0) for k in range(n))
+    return None
+
+
 def check_uc_bound(cert: Certificate, doc: SpecDoc, name: str, via_fan: bool):
-    """Both forms, with or without --via-fan: every residual at BOUND is constant."""
+    """Every residual at BOUND is constant; without --via-fan BOUND must
+    also be the least such level, as its producer finds it."""
     f = doc.get_functional(name)
     n = _count(cert.single("BOUND"), "BOUND")
-    u = first_nonconstant(f, n)
+    meter = ScanMeter()
+    u = _level_split(f, n, meter)
     if u is not None:
         return False, [f"residual below {format_word(u)} is not constant at level {n}"]
+    if not via_fan and n > 0 and _level_split(f, n - 1, meter) is None:
+        return False, [f"bound {n} is not the least: every residual at level {n - 1} "
+                       "is already constant"]
     return True, []
 
 

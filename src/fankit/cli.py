@@ -39,9 +39,16 @@ class UsageError(FankitError):
     pass
 
 
+class _Help(Exception):
+    """-h or --help: the help text, which run returns with exit 0."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit; raise instead
         raise UsageError(message)
+
+    def print_help(self, file=None):  # argparse would print and sys.exit
+        raise _Help(self.format_help())
 
 
 def nonnegative_int(text: str) -> int:
@@ -243,6 +250,8 @@ def run(argv: list[str]) -> tuple[int, str]:
         args = _parser().parse_args(argv)
     except UsageError as exc:
         return EXIT_USAGE, f"ERROR=usage: {exc}\n"
+    except _Help as help_text:
+        return EXIT_YES, str(help_text)
     try:
         doc = load_specdoc(args.spec)
     except (SpecError, OSError) as exc:

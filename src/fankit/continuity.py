@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from ._budget import check_enumeration
-from .errors import CertificateError, FuelError, PreconditionError
+from ._budget import ScanMeter, check_enumeration
+from .errors import CertificateError, FuelError, OutOfRangeError, PreconditionError
 from .fan import Bar, FanOracle, minimal_witness
 from .oracles import WKLOracle
 from .sets import DSet, interior
@@ -92,8 +92,17 @@ def replay(f: AnyFunctional, log) -> int:
 
 
 def eval_word(f: AnyFunctional, u: Word) -> int:
-    """Value on the finite word u, padded with zeros."""
-    return evaluate(f, concat(tuple(u), ZERO))
+    """Value on the finite word u, padded with zeros.  A decision tree is
+    walked on the word itself; a program reads it as a sequence."""
+    if isinstance(f, ProgramFunctional):
+        return evaluate(f, concat(tuple(u), ZERO))
+    n = len(u)
+    while isinstance(f, Node):
+        i = f.index
+        if i < 0:
+            raise OutOfRangeError(f"sequence index must be nonnegative, got {i}")
+        f = f.high if i < n and u[i] else f.low
+    return f.value
 
 
 def residual(f: Functional, u: Word) -> Functional:
@@ -106,18 +115,20 @@ def residual(f: Functional, u: Word) -> Functional:
     return Node(f.index - len(u), residual(f.low, u), residual(f.high, u))
 
 
-def _leaf_paths(f: Functional, assign: dict[int, int]):
+def _leaf_paths(f: Functional, assign: dict[int, int], meter: ScanMeter):
     """Feasible root-to-leaf paths: a repeated query follows the bit the
-    path already fixed, so phantom leaves are never enumerated."""
+    path already fixed, so phantom leaves are never enumerated.  Each
+    node passed is charged to the meter."""
+    meter.tick()
     if isinstance(f, Leaf):
         yield dict(assign), f.value
         return
     if f.index in assign:
-        yield from _leaf_paths(f.high if assign[f.index] else f.low, assign)
+        yield from _leaf_paths(f.high if assign[f.index] else f.low, assign, meter)
         return
     for b, branch in ((0, f.low), (1, f.high)):
         assign[f.index] = b
-        yield from _leaf_paths(branch, assign)
+        yield from _leaf_paths(branch, assign, meter)
         del assign[f.index]
 
 
@@ -139,7 +150,7 @@ class ConstancyVerdict:
 def is_constant(f: Functional) -> ConstancyVerdict:
     """Constant with its value, or two zero-padded witness sequences with
     distinct values; witnesses are the leftmost disagreeing leaf pair."""
-    paths = _leaf_paths(f, {})
+    paths = _leaf_paths(f, {}, ScanMeter())
     first_assign, first_value = next(paths)
     for assign, value in paths:
         if value != first_value:
@@ -155,23 +166,73 @@ def pointwise_modulus(f: AnyFunctional, alpha: Seq) -> int:
     return max((i for i, _ in log), default=-1) + 1
 
 
-def first_nonconstant(f: Functional, n: int) -> Word | None:
-    """First level-n word below which f is not constant, or None when
-    every residual at level n is constant."""
-    for u in iter_level(n):
-        if not is_constant(residual(f, u)).constant:
-            return u
+def _flip_witness(f: Functional, i: int, meter: ScanMeter) -> dict[int, int] | None:
+    """Bits for the indices other than i under which flipping bit i changes
+    the value of f; None when f does not depend on bit i.
+
+    One product walk of f against itself, the left copy reading bit i as 0
+    and the right copy as 1.  Both copies follow the bits fixed so far; a
+    query neither has answered fixes its index to 0 and then to 1.  While
+    the copies agree this walks f once; below an index-i node it pairs the
+    feasible paths of its two branches.  Each step is charged to the meter.
+    """
+    assign: dict[int, int] = {}
+
+    def settle(node: Functional, bit: int) -> Functional:
+        while isinstance(node, Node):
+            b = bit if node.index == i else assign.get(node.index)
+            if b is None:
+                break
+            node = node.high if b else node.low
+        return node
+
+    def differ(left: Functional, right: Functional) -> bool:
+        meter.tick()
+        left, right = settle(left, 0), settle(right, 1)
+        fresh = left if isinstance(left, Node) else right
+        if isinstance(fresh, Leaf):
+            return left.value != right.value
+        for b in (0, 1):
+            assign[fresh.index] = b
+            if differ(left, right):
+                return True
+        del assign[fresh.index]
+        return False
+
+    return assign if differ(f, f) else None
+
+
+def _last_dependence(f: Functional, floor: int) -> tuple[int, dict[int, int]] | None:
+    """The largest index i >= floor whose bit f depends on, with bits for
+    the other indices under which flipping bit i changes the value; None
+    when f depends on no bit at or above floor.
+
+    f is constant on every level-n cylinder exactly when it depends on no
+    bit at or above n: two sequences that agree below n differ in finitely
+    many of the bits f reads, and those can be flipped one at a time.
+    """
+    indices, seen, stack = set(), set(), [f]
+    while stack:  # shared sub-functionals are read once
+        node = stack.pop()
+        if isinstance(node, Node) and id(node) not in seen:
+            seen.add(id(node))
+            indices.add(node.index)
+            stack += (node.low, node.high)
+    meter = ScanMeter()
+    for i in sorted(indices, reverse=True):
+        if i < floor:
+            break
+        bits = _flip_witness(f, i, meter)
+        if bits is not None:
+            return i, bits
     return None
 
 
 def uc_bound_bruteforce(f: Functional) -> int:
-    """Least level at which every residual is constant."""
-    top = query_depth(f)
-    check_enumeration(1 << (top + 1))
-    for n in range(top + 1):
-        if first_nonconstant(f, n) is None:
-            return n
-    return top
+    """Least level at which every residual is constant: one more than the
+    last bit f depends on, and 0 for a constant f."""
+    last = _last_dependence(f, 0)
+    return 0 if last is None else last[0] + 1
 
 
 def bound_of(f: Functional) -> int:
@@ -275,7 +336,8 @@ def uc_via_fan(f: AnyFunctional, m: Functional, fan: FanOracle) -> int:
 
     The modulus's overtaken bar is bounded by the oracle; the bound is
     then verified directly: every residual at that level must be constant
-    (finite trees), or sampled tails must agree (programs).
+    (finite trees, which then depend on no bit at or above it), or sampled
+    tails must agree (programs).
     """
     _spot_check_modulus(f, m)
     n = fan.bound(bar_from_pc(m))
@@ -288,8 +350,9 @@ def uc_via_fan(f: AnyFunctional, m: Functional, fan: FanOracle) -> int:
                     f"program values split below {format_word(u)}; "
                     "the modulus assertion was false")
     else:
-        u = first_nonconstant(f, n)
-        if u is not None:
+        last = _last_dependence(f, n)
+        if last is not None:
+            u = tuple(last[1].get(k, 0) for k in range(n))
             raise CertificateError(
                 f"residual below {format_word(u)} is not constant; "
                 "the modulus assertion was false")

@@ -45,7 +45,8 @@ class DSet:
         return f"DSet[{meta.strip() or 'plain'}]"
 
 
-def validate_claims(ds: DSet, horizon: int = DEFAULT_HORIZON) -> None:
+def validate_claims(ds: DSet, horizon: int = DEFAULT_HORIZON,
+                    tables: dict | None = None) -> None:
     """Spot-check declared stab and flags on all words up to the horizon.
 
     Each word's membership is asked once, in preorder (the order of a
@@ -53,22 +54,30 @@ def validate_claims(ds: DSet, horizon: int = DEFAULT_HORIZON) -> None:
     level order: the length-n word with bit value v sits at 2^n - 1 + v,
     its children at 2i + 1 and 2i + 2, its parent at (i - 1) // 2.  The
     claims are then checked against the table; a word is formatted only
-    for the message of a failed check.
+    for the message of a failed check.  A caller that passes `tables`
+    keeps each table there by membership function and horizon, so a claim
+    added later to the same membership is checked without asking again.
     """
-    check_enumeration(1 << (horizon + 1), f"claim validation to horizon {horizon}")
+    key = (ds.member_fn, horizon)
+    inside = None if tables is None else tables.get(key)
+    if inside is None:
+        check_enumeration(1 << (horizon + 1), f"claim validation to horizon {horizon}")
     if ds.stab is not None and ds.stab < 0:
         raise PreconditionError(f"stab must be nonnegative, got {ds.stab}")
     if not (ds.stab is not None or ds.extension_closed or ds.restriction_closed
             or ds.convex or ds.co_convex):
         return
-    inside = [False] * ((2 << horizon) - 1)
-    stack = [(EMPTY, 0)]
-    while stack:
-        u, i = stack.pop()
-        inside[i] = ds.member(u)
-        if len(u) < horizon:
-            stack.append((u + (1,), 2 * i + 2))
-            stack.append((u + (0,), 2 * i + 1))
+    if inside is None:
+        inside = [False] * ((2 << horizon) - 1)
+        stack = [(EMPTY, 0)]
+        while stack:
+            u, i = stack.pop()
+            inside[i] = ds.member(u)
+            if len(u) < horizon:
+                stack.append((u + (1,), 2 * i + 2))
+                stack.append((u + (0,), 2 * i + 1))
+        if tables is not None:
+            tables[key] = inside
     parents = (1 << horizon) - 1  # positions 0..parents-1 have their children in the table
     if ds.stab is not None:
         for i in range((1 << min(ds.stab, horizon)) - 1, parents):

@@ -184,6 +184,7 @@ def _first_one_plus_witness(k: int) -> _Witness:
 class _Parser:
     def __init__(self, doc: SpecDoc):
         self._doc = doc
+        self._tables: dict = {}  # claim validation's membership tables
 
     def parse_expr(self, ts: _TokenStream):
         tok = ts.next()
@@ -279,11 +280,17 @@ class _Parser:
             raise SpecError(f"{name}: argument {i + 1} must be a functional",
                             head.line, head.col)
 
-        def rebuild(base: DSet, **overrides) -> DSet:
+        def claim(base: DSet, **added) -> DSet:
+            """base with the added claims.  Only the claims base does not
+            already hold are validated: its own were validated on the
+            line that made them, or hold by construction."""
             fields = dict(stab=base.stab, extension_closed=base.extension_closed,
                           restriction_closed=base.restriction_closed,
                           convex=base.convex, co_convex=base.co_convex)
-            fields.update(overrides)
+            new = {key: value for key, value in added.items() if fields[key] != value}
+            if new:
+                validate_claims(DSet(base.member_fn, **new), tables=self._tables)
+            fields.update(added)
             return DSet(base.member_fn, **fields)
 
         try:
@@ -323,21 +330,17 @@ class _Parser:
                 return interior(arg_set(0))
             if name == "stab":
                 arity(2)
-                out = rebuild(arg_set(0), stab=arg_int(1))
-                validate_claims(out)
-                return out
+                return claim(arg_set(0), stab=arg_int(1))
             if name in ("ext_closed", "restr_closed", "convex", "coconvex"):
                 arity(1)
                 flag = {"ext_closed": "extension_closed",
                         "restr_closed": "restriction_closed",
                         "convex": "convex",
                         "coconvex": "co_convex"}[name]
-                out = rebuild(arg_set(0), **{flag: True})
-                validate_claims(out)
-                return out
+                return claim(arg_set(0), **{flag: True})
             if name == "tree":
                 arity(1)
-                return tree(arg_set(0))
+                return tree(claim(arg_set(0), restriction_closed=True), validate=False)
             if name == "bar":
                 arity(2)
                 witness = items[1]

@@ -129,6 +129,14 @@ def brute_longest_path_prefix_ok(member: Member, prefix: tuple, depth: int) -> b
     return True
 
 
+def brute_tree_eval(f, u: tuple) -> int:
+    """Value of a decision tree (nodes with index/low/high, leaves with
+    value) on u padded with zeros."""
+    while hasattr(f, "index"):
+        f = f.high if f.index < len(u) and u[f.index] else f.low
+    return f.value
+
+
 def brute_uc_bound(eval_word: Callable[[tuple], int], depth: int) -> int:
     """Least N with the padded evaluation constant on each level-N cylinder,
     checking all continuations out to the given depth."""

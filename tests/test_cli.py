@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 from fankit import Bar, Leaf, Node, Tree
 from fankit.certificate import Certificate
-from fankit.cli import run
+from fankit.cli import COMMANDS, run
 from fankit.specfile import SpecError, parse_specdoc
 
 
@@ -109,6 +110,59 @@ def test_run_uc_bound(tmp_path):
     assert "COMMAND=uc-bound --fn q2\n" in text
     assert "COMMAND=uc-bound --fn q2 --via-fan\n" in text2
     assert verify_text(tmp_path, write_spec(tmp_path), text2) == (0, "VERIFY=OK\n")
+
+
+def chain_text(depth):
+    """node(0, leaf(0), node(1, leaf(1), ...)): query depth `depth`, and
+    the value is the position of the first 0, so every bit counts."""
+    text = f"leaf({depth})"
+    for k in reversed(range(depth)):
+        text = f"node({k}, leaf({k}), {text})"
+    return text
+
+
+def complete_text(depth, order=None, values=None, k=0):
+    """Complete tree of query depth `depth` that queries bit order[k] at
+    depth k (bit k by default), with leaves 0, 1, 2, ... in order."""
+    order = range(depth) if order is None else order
+    values = iter(range(1 << depth)) if values is None else values
+    if k == depth:
+        return f"leaf({next(values)})"
+    below = [complete_text(depth, order, values, k + 1) for _ in range(2)]
+    return f"node({order[k]}, {below[0]}, {below[1]})"
+
+
+def test_uc_bound_costs_the_tree_not_its_query_depth(tmp_path):
+    # residual trees per level-n word made these cost 2^depth: the depth-20
+    # chain (41 nodes) was refused, the depth-64 one unreachable
+    lines = [f"ch{d} = {chain_text(d)}" for d in (20, 64)] + [
+        f"c11 = {complete_text(11)}", "far = node(1000000, leaf(0), leaf(1))"]
+    spec = write_spec(tmp_path, "\n".join(lines) + "\n")
+    for name, bound, forms in (("ch20", 20, ([], ["--via-fan"])), ("ch64", 64, ([],)),
+                               ("c11", 11, ([], ["--via-fan"])), ("far", 1000001, ([],))):
+        for extra in forms:
+            code, text = run(["uc-bound", "--spec", spec, "--fn", name] + extra)
+            assert code == 0 and f"BOUND={bound}\n" in text, (name, extra, text[:200])
+            assert verify_text(tmp_path, spec, text) == (0, "VERIFY=OK\n"), (name, extra)
+
+
+def test_uc_bound_is_metered_by_the_walk(tmp_path, monkeypatch):
+    # c11 depends on its last bit, found at the first node querying it;
+    # rev queries bits 10..0 but depends on bit 0 alone, so the producer
+    # compares the two branches of every node querying a later bit
+    rev = complete_text(11, order=range(10, -1, -1), values=itertools.cycle((0, 1)))
+    spec = write_spec(tmp_path, f"c11 = {complete_text(11)}\nrev = {rev}\n")
+    certs = {}
+    for name, bound in (("c11", 11), ("rev", 1)):
+        code, certs[name] = run(["uc-bound", "--spec", spec, "--fn", name])
+        assert code == 0 and f"BOUND={bound}\n" in certs[name]
+    monkeypatch.setenv("FANKIT_BUDGET", "64")
+    assert run(["uc-bound", "--spec", spec, "--fn", "c11"]) == (0, certs["c11"])
+    assert run(["deco", "--spec", spec, "--fn", "c11"])[0] == 0
+    refusals = [run(["uc-bound", "--spec", spec, "--fn", "rev"]),
+                verify_text(tmp_path, spec, certs["c11"])]  # walks all 2047 nodes
+    for code, out in refusals:
+        assert code == 2 and out.startswith("ERROR=BudgetExceededError: scan visited"), out
 
 
 def test_run_complete_tree(tmp_path):
@@ -470,6 +524,21 @@ def run_module(*args: str, code: str | None = None) -> subprocess.CompletedProce
                           capture_output=True, text=True, timeout=60)
 
 
+def test_help_returns_its_text(tmp_path):
+    # -h and --help return the help with exit 0 instead of leaving run
+    for argv in (["-h"], ["--help"]):
+        code, text = run(argv)
+        assert code == 0 and text.startswith("usage: fankit"), text
+        assert all(name in text for name in COMMANDS), text
+        for name in COMMANDS:
+            code, text = run([name] + argv)
+            assert code == 0 and text.startswith(f"usage: fankit {name} "), text
+            assert "--spec SPEC" in text and "ERROR=" not in text, text
+    done = run_module("uc-bound", "--help")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == run(["uc-bound", "--help"])[1]
+
+
 def test_the_parser_is_built_on_the_first_run_only():
     code = """if True:
         import argparse
@@ -697,8 +766,12 @@ def certificate_mutants(text):
         yield with_line(i, []), False
         yield with_line(i, [lines[i], lines[i]]), False
         if key == "BOUND":
+            # a plain uc-bound must carry the least bound, like bar-check;
+            # a --via-fan one any bound from the least on
+            plain_uc = lines[1].startswith("COMMAND=uc-bound ") and \
+                not lines[1].endswith(" --via-fan")
             for n in (int(value) - 1, int(value) + 1):
-                yield with_line(i, [f"BOUND={n}"]), False
+                yield with_line(i, [f"BOUND={n}"]), plain_uc and n >= 0
         if key == "PATH":
             yield with_line(i, [f"PATH={value[:-1] or 'e'}"]), False
 

@@ -12,13 +12,15 @@ from fankit import (Bar, DSet, Leaf, Node, ONE, Seq, ZERO, bar_from_pc,
                     eval_word, evaluate, fan_bruteforce, finite_set, full_set,
                     functional_from_bar, functional_from_defu, interior,
                     is_constant, len_ge,
-                    llpo_bounded_oracle, materialize, path_modulus,
+                    llpo_bounded_oracle, materialize, parse_word, path_modulus,
                     pointwise_modulus, query_depth, replay, residual, restrict,
                     uc_bound_bruteforce, uc_via_fan, uniform_bound, union_sets,
                     wkl_oracle_from_llpo)
+from fankit.certificate import Certificate, check_uc_bound
 from fankit.errors import CertificateError, FuelError, PreconditionError
+from fankit.specfile import SpecDoc
 
-from bruteforce import all_words, brute_uc_bound, words_at
+from bruteforce import all_words, brute_tree_eval, brute_uc_bound, words_at
 from corpus import random_bar_interior_set, random_functional, random_stabilized_bar
 
 
@@ -115,6 +117,59 @@ def test_uc_bound_never_exceeds_query_depth():
             assert is_constant(residual(f, u)).constant
 
 
+def test_eval_word_walks_the_word_as_the_padded_sequence():
+    rng = random.Random(23)
+    for _ in range(40):
+        f = random_functional(rng, max_index=4)
+        for u in all_words(5):
+            assert eval_word(f, u) == evaluate(f, concat(u, ZERO)) == brute_tree_eval(f, u)
+
+
+def random_uc_trees(rng, count):
+    """Random trees with repeated and out-of-order indices; a share of them
+    constant (one leaf value), and some whose root is a leaf."""
+    for _ in range(count):
+        values = rng.choice((1, 2, 5))
+        yield random_functional(rng, max_index=rng.randrange(1, 6), leaf_values=values,
+                                branch=rng.choice((0.5, 0.65, 0.8)))
+
+
+def uc_verdicts(f, n):
+    doc = SpecDoc(definitions={"f": f})
+    return tuple(check_uc_bound(Certificate("uc-bound --fn f", "YES", [("BOUND", str(n))]),
+                                doc, "f", via_fan)[0] for via_fan in (False, True))
+
+
+def test_uc_bound_producer_and_verifier_agree_with_bruteforce():
+    rng = random.Random(61)
+    seen = set()
+    for f in random_uc_trees(rng, 400):
+        depth = query_depth(f)
+        least = brute_uc_bound(lambda w: brute_tree_eval(f, w), depth)
+        assert uc_bound_bruteforce(f) == least, f
+        # plain needs the least bound exactly; --via-fan any bound from it on
+        assert uc_verdicts(f, least) == (True, True), f
+        assert uc_verdicts(f, least + 1) == (False, True), f
+        if least > 0:
+            assert uc_verdicts(f, least - 1) == (False, False), f
+        seen.add(min(least, 2))
+    assert seen == {0, 1, 2}
+
+
+def test_uc_bound_reports_a_nonconstant_word():
+    # the verifier names a level-n word below which the values split
+    rng = random.Random(67)
+    for f in random_uc_trees(rng, 120):
+        least = uc_bound_bruteforce(f)
+        for n in range(least):
+            doc = SpecDoc(definitions={"f": f})
+            ok, issues = check_uc_bound(
+                Certificate("uc-bound --fn f", "YES", [("BOUND", str(n))]), doc, "f", True)
+            u = parse_word(issues[0].split("residual below ", 1)[1].split(" ", 1)[0])
+            assert not ok and len(u) == n
+            assert len({brute_tree_eval(f, u + w) for w in all_words(query_depth(f))}) > 1
+
+
 def test_bound_of():
     assert bound_of(Leaf(4)) == 4
     assert bound_of(Node(1, Leaf(2), Leaf(7))) == 7
@@ -201,6 +256,10 @@ def test_uc_via_fan_rejects_false_modulus():
     fan = fan_bruteforce(10)
     with pytest.raises(CertificateError):
         uc_via_fan(Node(0, Leaf(0), Leaf(1)), Leaf(0), fan)
+    # a modulus that passes the spot checks but is still too small
+    f = Node(0, Leaf(0), Node(4, Node(3, Leaf(1), Leaf(0)), Leaf(1)))
+    with pytest.raises(CertificateError, match="residual below 1 is not constant"):
+        uc_via_fan(f, Leaf(1), fan)
 
 
 def test_uc_via_fan_program_route():

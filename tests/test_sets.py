@@ -318,6 +318,31 @@ def test_claim_validation_tests_each_base_word_once():
     assert calls == Counter(all_words(8))
 
 
+def test_each_spec_line_asks_membership_once(monkeypatch):
+    # a wrapper around a validated set checks only the claim it adds, on
+    # the table of memberships its inner line already asked for
+    calls = Counter()
+    member = DSet.member
+
+    def counting(self, u):
+        calls[u] += 1
+        return member(self, u)
+
+    monkeypatch.setattr(DSet, "member", counting)
+    inner = "stab(union(len_ge(2), count_ones_ge(1)), 2)"
+    counts = []
+    for line in (f"s = {inner}", f"b = bar(coconvex({inner}), const(2))",
+                 f"c = ext_closed(coconvex(stab({inner}, 2)))"):
+        calls.clear()
+        parse_specdoc(line + "\n")
+        counts.append(sum(calls.values()))
+    assert counts[0] > 0 and counts == counts[:1] * 3, counts
+    # a set restriction-closed by construction is not validated again by tree
+    calls.clear()
+    parse_specdoc("t = tree(complement(closure(finite(10))))\n")
+    assert not calls
+
+
 def test_stab_propagation():
     a = len_ge(3)
     b = union_sets(a, finite_set([(1,)]))
