@@ -16,7 +16,7 @@ from .certificate import (Certificate, CertificateFormatError, _count, check_bar
                           check_coconvex_bound, check_complete_tree, check_deco,
                           check_defu, check_find_path, check_uc_bound,
                           check_uniform_bound, verify)
-from .continuity import deco_decide, defu_via_wkl, path_modulus, \
+from .continuity import deco_decide, defu_via_wkl, path_modulus, query_depth, \
     uc_bound_bruteforce, uc_via_fan
 from .errors import (BudgetExceededError, CertificateError, FankitError,
                      FuelError, InconsistencyError, OutOfRangeError,
@@ -106,7 +106,8 @@ def _do_coconvex_bound(doc, name):
 def _do_uc_bound(doc, name, via_fan):
     f = doc.get_functional(name)
     if via_fan:
-        fan = fan_bruteforce(max_n=32)
+        # every word as long as the query depth is in the modulus's bar
+        fan = fan_bruteforce(max_n=query_depth(f))
         n = uc_via_fan(f, path_modulus(f), fan)
         return "YES", [("BOUND", str(n))], f"fan[{fan.tag}]={n}"
     return "YES", [("BOUND", str(uc_bound_bruteforce(f)))], ""
@@ -256,7 +257,7 @@ def run(argv: list[str]) -> tuple[int, str]:
         doc = load_specdoc(args.spec)
     except (SpecError, OSError) as exc:
         return EXIT_USAGE, f"ERROR=spec: {exc}\n"
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, RecursionError) as exc:
         return EXIT_UNKNOWN, f"ERROR={type(exc).__name__}: {exc}\n"
     command = COMMANDS[args.command]
     try:
@@ -270,7 +271,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     except (UsageError, PreconditionError, SpecError, OutOfRangeError,
             CertificateFormatError) as exc:
         return EXIT_USAGE, f"ERROR={type(exc).__name__}: {exc}\n"
-    except (BudgetExceededError, FuelError) as exc:
+    except (BudgetExceededError, FuelError, RecursionError) as exc:  # nesting too deep
         return EXIT_UNKNOWN, f"ERROR={type(exc).__name__}: {exc}\n"
     except (CertificateError, InconsistencyError, WitnessError) as exc:
         return EXIT_NO, f"ERROR={type(exc).__name__}: {exc}\n"

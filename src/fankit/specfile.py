@@ -8,7 +8,8 @@ References must point at earlier lines, which keeps definitions acyclic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .continuity import Functional, Leaf, Node
@@ -85,15 +86,15 @@ class _TokenStream:
         self._line = line_no
         self._end_col = line_len + 1
 
-    def peek(self) -> _Token | None:
-        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
+    def at(self, kind: str) -> bool:
+        """Is the next token of this kind?"""
+        return self._pos < len(self._tokens) and self._tokens[self._pos].kind == kind
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise SpecError("unexpected end of line", self._line, self._end_col)
+    def next(self, at_end: str = "unexpected end of line") -> _Token:
+        if self.done():
+            raise SpecError(at_end, self._line, self._end_col)
         self._pos += 1
-        return tok
+        return self._tokens[self._pos - 1]
 
     def expect(self, kind: str) -> _Token:
         tok = self.next()
@@ -108,7 +109,6 @@ class _TokenStream:
 @dataclass(frozen=True)
 class _Witness:
     fn: Callable[[Seq], int]
-    tag: str
 
 
 Definition = object  # DSet | Tree | Bar | Functional
@@ -122,21 +122,11 @@ class SpecDoc:
         if name not in self.definitions:
             raise PreconditionError(f"name {name!r} is not defined in the spec file")
         value = self.definitions[name]
-        if wanted == "set":
-            if isinstance(value, DSet):
-                return value
-            if isinstance(value, Tree):
-                return value.carrier
-            if isinstance(value, Bar):
-                return value.carrier
-        elif wanted == "tree" and isinstance(value, Tree):
-            return value
-        elif wanted == "bar" and isinstance(value, Bar):
-            return value
-        elif wanted == "fn" and isinstance(value, (Leaf, Node)):
-            return value
-        raise PreconditionError(
-            f"name {name!r} is a {type(value).__name__}, but a {wanted} is needed")
+        found = _KINDS[wanted][1](value)
+        if found is None:
+            raise PreconditionError(
+                f"name {name!r} is a {type(value).__name__}, but a {wanted} is needed")
+        return found
 
     def get_set(self, name: str) -> DSet:
         return self._lookup(name, "set")
@@ -151,25 +141,61 @@ class SpecDoc:
         return self._lookup(name, "fn")
 
 
-def _as_int(tok: _Token) -> int:
-    if tok.kind == "ATOM":
+def _as_int(item) -> int | None:
+    if not isinstance(item, _Token):
+        return None
+    if item.kind == "ATOM":
         try:
-            return int(tok.text)
+            return int(item.text)
         except ValueError:  # a digit int() does not read (a superscript), or too many
             pass
-    raise SpecError(f"expected an integer, got {tok.text!r:.40}", tok.line, tok.col)
+    raise SpecError(f"expected an integer, got {item.text!r:.40}", item.line, item.col)
 
 
-def _as_word(tok: _Token) -> Word:
-    if tok.kind == "NAME" and tok.text == "e":
+def _as_bit(item) -> int | None:
+    b = _as_int(item)
+    return b if b in (0, 1) else None
+
+
+def _as_word(item) -> Word | None:
+    if not isinstance(item, _Token):
+        return None
+    if item.kind == "NAME" and item.text == "e":
         return EMPTY
-    if tok.kind == "ATOM" and all(c in "01" for c in tok.text):
-        return parse_word(tok.text)
-    raise SpecError(f"expected a word (bits or 'e'), got {tok.text!r}", tok.line, tok.col)
+    if item.kind == "ATOM" and all(c in "01" for c in item.text):
+        return parse_word(item.text)
+    raise SpecError(f"expected a word (bits or 'e'), got {item.text!r}", item.line, item.col)
 
 
-def _const_witness(k: int) -> _Witness:
-    return _Witness(lambda alpha: k, f"const({k})")
+def _as_set(value) -> DSet | None:
+    """A set, or the carrier of a tree or a bar: what counts as a set."""
+    if isinstance(value, (Tree, Bar)):
+        return value.carrier
+    return value if isinstance(value, DSet) else None
+
+
+def _of_type(*types):
+    return lambda value: value if isinstance(value, types) else None
+
+
+# One kind of argument (or of name, for the SpecDoc lookups): what a value
+# of it must be, and its conversion, which returns None for a value of
+# another kind.  Literals reach the conversion as tokens, so a malformed one
+# is reported at its own column; any other misfit, at its constructor.
+_KINDS: dict[str, tuple[str, Callable]] = {
+    "int": ("an integer", _as_int),
+    "bit": ("0 or 1", _as_bit),
+    "word": ("a word", _as_word),
+    "set": ("a set", _as_set),
+    "fn": ("a functional", _of_type(Leaf, Node)),
+    "witness": ("const(k) or first_one_plus(k)", _of_type(_Witness)),
+    "tree": ("a tree", _of_type(Tree)),
+    "bar": ("a bar", _of_type(Bar)),
+}
+
+# A bit or a witness is converted before the other arguments, so a call
+# with two misfits reports it.
+_CHECKED_FIRST = ("bit", "witness")
 
 
 def _first_one_plus_witness(k: int) -> _Witness:
@@ -178,7 +204,42 @@ def _first_one_plus_witness(k: int) -> _Witness:
             if alpha.at(i) == 1:
                 return i + 1
         return k
-    return _Witness(wit, f"first_one_plus({k})")
+    return _Witness(wit)
+
+
+def _claim_flag(flag: str):
+    return lambda claim, a: claim(a, **{flag: True})
+
+
+# One constructor: the kind of each argument (a trailing ... repeats the
+# kind before it any number of times), and the builder, called with the
+# converted arguments, after the parser's claim when claims is set.
+_Constructor = namedtuple("_Constructor", "kinds build claims", defaults=(False,))
+
+_CONSTRUCTORS: dict[str, _Constructor] = {
+    "len_ge": _Constructor(("int",), len_ge),
+    "bit": _Constructor(("int", "bit"), bit_at),
+    "count_ones_ge": _Constructor(("int",), count_ones_ge),
+    "prefix": _Constructor(("word",), has_prefix),
+    "finite": _Constructor(("word", ...), lambda *words: finite_set(words)),
+    "union": _Constructor(("set", "set"), union_sets),
+    "intersect": _Constructor(("set", "set"), intersect_sets),
+    "complement": _Constructor(("set",), complement),
+    "closure": _Constructor(("set",), closure),
+    "interior": _Constructor(("set",), interior),
+    "stab": _Constructor(("set", "int"), lambda claim, a, k: claim(a, stab=k), True),
+    "ext_closed": _Constructor(("set",), _claim_flag("extension_closed"), True),
+    "restr_closed": _Constructor(("set",), _claim_flag("restriction_closed"), True),
+    "convex": _Constructor(("set",), _claim_flag("convex"), True),
+    "coconvex": _Constructor(("set",), _claim_flag("co_convex"), True),
+    "tree": _Constructor(("set",), lambda claim, a: tree(claim(a, restriction_closed=True),
+                                                         validate=False), True),
+    "bar": _Constructor(("set", "witness"), lambda a, witness: Bar(a, witness.fn)),
+    "const": _Constructor(("int",), lambda k: _Witness(lambda alpha: k)),
+    "first_one_plus": _Constructor(("int",), _first_one_plus_witness),
+    "leaf": _Constructor(("int",), Leaf),
+    "node": _Constructor(("int", "fn", "fn"), Node),
+}
 
 
 class _Parser:
@@ -186,44 +247,31 @@ class _Parser:
         self._doc = doc
         self._tables: dict = {}  # claim validation's membership tables
 
-    def parse_expr(self, ts: _TokenStream):
-        tok = ts.next()
-        if tok.kind == "NAME" and (ts.peek() is None or ts.peek().kind != "LPAREN"):
-            if tok.text not in self._doc.definitions:
-                raise SpecError(f"undefined name {tok.text!r} "
-                                "(references must point at earlier lines)",
-                                tok.line, tok.col)
-            return self._doc.definitions[tok.text]
+    def parse_expr(self, tok: _Token, ts: _TokenStream):
+        """The value of the expression that starts at tok: a call, or a
+        name defined on an earlier line."""
         if tok.kind != "NAME":
             raise SpecError(f"expected a constructor or name, got {tok.text!r}",
                             tok.line, tok.col)
-        return self._parse_call(tok, ts)
+        if ts.at("LPAREN"):
+            return self._parse_call(tok, ts)
+        if tok.text not in self._doc.definitions:
+            raise SpecError(f"undefined name {tok.text!r} "
+                            "(references must point at earlier lines)", tok.line, tok.col)
+        return self._doc.definitions[tok.text]
 
-    def _collect_args(self, ts: _TokenStream) -> list[_Token | object]:
-        """Raw argument items: nested calls are evaluated, atoms kept as tokens."""
+    def _collect_args(self, ts: _TokenStream) -> list:
+        """The argument items: literals (digits, and a bare e) kept as
+        tokens, every other item evaluated."""
         ts.expect("LPAREN")
         items: list = []
-        nxt = ts.peek()
-        if nxt is not None and nxt.kind == "RPAREN":
+        if ts.at("RPAREN"):
             ts.next()
             return items
         while True:
-            tok = ts.peek()
-            if tok is None:
-                raise SpecError("unterminated argument list", ts._line, ts._end_col)
-            if tok.kind == "NAME" and self._is_call_ahead(ts):
-                items.append(self.parse_expr(ts))
-            elif tok.kind == "NAME" and tok.text != "e":
-                tok = ts.next()
-                if tok.text not in self._doc.definitions:
-                    raise SpecError(f"undefined name {tok.text!r} "
-                                    "(references must point at earlier lines)",
-                                    tok.line, tok.col)
-                items.append(self._doc.definitions[tok.text])
-            elif tok.kind in ("NAME", "ATOM"):
-                items.append(ts.next())
-            else:
-                raise SpecError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+            tok = ts.next("unterminated argument list")
+            literal = tok.kind == "ATOM" or tok.text == "e" and not ts.at("LPAREN")
+            items.append(tok if literal else self.parse_expr(tok, ts))
             sep = ts.next()
             if sep.kind == "RPAREN":
                 return items
@@ -231,142 +279,37 @@ class _Parser:
                 raise SpecError(f"expected ',' or ')', got {sep.text!r}",
                                 sep.line, sep.col)
 
-    def _is_call_ahead(self, ts: _TokenStream) -> bool:
-        pos = ts._pos
-        if pos + 1 < len(ts._tokens):
-            return ts._tokens[pos + 1].kind == "LPAREN"
-        return False
-
     def _parse_call(self, head: _Token, ts: _TokenStream):
         name = head.text
         items = self._collect_args(ts)
-
-        def arity(n: int):
-            if len(items) != n:
-                raise SpecError(f"{name} takes {n} argument(s), got {len(items)}",
-                                head.line, head.col)
-
-        def arg_int(i: int) -> int:
-            item = items[i]
-            if not isinstance(item, _Token):
-                raise SpecError(f"{name}: argument {i + 1} must be an integer",
-                                head.line, head.col)
-            return _as_int(item)
-
-        def arg_word(i: int) -> Word:
-            item = items[i]
-            if not isinstance(item, _Token):
-                raise SpecError(f"{name}: argument {i + 1} must be a word",
-                                head.line, head.col)
-            return _as_word(item)
-
-        def arg_set(i: int) -> DSet:
-            item = items[i]
-            if isinstance(item, _Token):
-                raise SpecError(f"{name}: argument {i + 1} must be a set expression",
-                                head.line, head.col)
-            if isinstance(item, DSet):
-                return item
-            if isinstance(item, Tree):
-                return item.carrier
-            if isinstance(item, Bar):
-                return item.carrier
-            raise SpecError(f"{name}: argument {i + 1} is not a set", head.line, head.col)
-
-        def arg_fn(i: int) -> Functional:
-            item = items[i]
-            if isinstance(item, (Leaf, Node)):
-                return item
-            raise SpecError(f"{name}: argument {i + 1} must be a functional",
+        if name not in _CONSTRUCTORS:
+            raise SpecError(f"unknown constructor {name!r}", head.line, head.col)
+        kinds, build, claims = _CONSTRUCTORS[name]
+        if kinds[-1] is ...:
+            kinds = kinds[:1] * len(items)
+        elif len(items) != len(kinds):
+            raise SpecError(f"{name} takes {len(kinds)} argument(s), got {len(items)}",
                             head.line, head.col)
-
-        def claim(base: DSet, **added) -> DSet:
-            """base with the added claims.  Only the claims base does not
-            already hold are validated: its own were validated on the
-            line that made them, or hold by construction."""
-            fields = dict(stab=base.stab, extension_closed=base.extension_closed,
-                          restriction_closed=base.restriction_closed,
-                          convex=base.convex, co_convex=base.co_convex)
-            new = {key: value for key, value in added.items() if fields[key] != value}
-            if new:
-                validate_claims(DSet(base.member_fn, **new), tables=self._tables)
-            fields.update(added)
-            return DSet(base.member_fn, **fields)
-
+        args = [None] * len(items)
+        for i in sorted(range(len(items)), key=lambda i: kinds[i] not in _CHECKED_FIRST):
+            what, convert = _KINDS[kinds[i]]
+            args[i] = convert(items[i])
+            if args[i] is None:
+                raise SpecError(f"{name}: argument {i + 1} must be {what}",
+                                head.line, head.col)
         try:
-            if name == "len_ge":
-                arity(1)
-                return len_ge(arg_int(0))
-            if name == "bit":
-                arity(2)
-                b = arg_int(1)
-                if b not in (0, 1):
-                    raise SpecError(f"bit: the bit must be 0 or 1, got {b}",
-                                    head.line, head.col)
-                return bit_at(arg_int(0), b)
-            if name == "count_ones_ge":
-                arity(1)
-                return count_ones_ge(arg_int(0))
-            if name == "prefix":
-                arity(1)
-                return has_prefix(arg_word(0))
-            if name == "finite":
-                return finite_set([_as_word(item) if isinstance(item, _Token) else
-                                   self._bad_word(head) for item in items])
-            if name == "union":
-                arity(2)
-                return union_sets(arg_set(0), arg_set(1))
-            if name == "intersect":
-                arity(2)
-                return intersect_sets(arg_set(0), arg_set(1))
-            if name == "complement":
-                arity(1)
-                return complement(arg_set(0))
-            if name == "closure":
-                arity(1)
-                return closure(arg_set(0))
-            if name == "interior":
-                arity(1)
-                return interior(arg_set(0))
-            if name == "stab":
-                arity(2)
-                return claim(arg_set(0), stab=arg_int(1))
-            if name in ("ext_closed", "restr_closed", "convex", "coconvex"):
-                arity(1)
-                flag = {"ext_closed": "extension_closed",
-                        "restr_closed": "restriction_closed",
-                        "convex": "convex",
-                        "coconvex": "co_convex"}[name]
-                return claim(arg_set(0), **{flag: True})
-            if name == "tree":
-                arity(1)
-                return tree(claim(arg_set(0), restriction_closed=True), validate=False)
-            if name == "bar":
-                arity(2)
-                witness = items[1]
-                if not isinstance(witness, _Witness):
-                    raise SpecError("bar: second argument must be const(k) or "
-                                    "first_one_plus(k)", head.line, head.col)
-                return Bar(arg_set(0), witness.fn)
-            if name == "const":
-                arity(1)
-                return _const_witness(arg_int(0))
-            if name == "first_one_plus":
-                arity(1)
-                return _first_one_plus_witness(arg_int(0))
-            if name == "leaf":
-                arity(1)
-                return Leaf(arg_int(0))
-            if name == "node":
-                arity(3)
-                return Node(arg_int(0), arg_fn(1), arg_fn(2))
+            return build(self.claim, *args) if claims else build(*args)
         except PreconditionError as exc:
             raise SpecError(str(exc), head.line, head.col) from exc
-        raise SpecError(f"unknown constructor {name!r}", head.line, head.col)
 
-    @staticmethod
-    def _bad_word(head: _Token):
-        raise SpecError("finite: arguments must be word literals", head.line, head.col)
+    def claim(self, base: DSet, **added) -> DSet:
+        """base with the added claims.  Only the claims base does not
+        already hold are validated: its own were validated on the line
+        that made them, or hold by construction."""
+        new = {key: value for key, value in added.items() if getattr(base, key) != value}
+        if new:
+            validate_claims(DSet(base.member_fn, **new), tables=self._tables)
+        return replace(base, **added)
 
 
 def parse_specdoc(text: str) -> SpecDoc:
@@ -382,7 +325,7 @@ def parse_specdoc(text: str) -> SpecDoc:
             raise SpecError(f"duplicate name {name_tok.text!r}",
                             name_tok.line, name_tok.col)
         ts.expect("EQUALS")
-        value = parser.parse_expr(ts)
+        value = parser.parse_expr(ts.next(), ts)
         if not ts.done():
             stray = ts.next()
             raise SpecError(f"trailing input {stray.text!r}", stray.line, stray.col)

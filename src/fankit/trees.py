@@ -9,7 +9,7 @@ full levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from ._budget import MAX_SCAN_DEPTH
@@ -42,10 +42,7 @@ def tree(carrier: DSet, horizon: int = DEFAULT_HORIZON, validate: bool = True) -
     """Wrap a DSet as a tree, flagging and (by default) validating
     restriction closure up to the horizon."""
     if not carrier.restriction_closed:
-        carrier = DSet(carrier.member_fn, stab=carrier.stab,
-                       extension_closed=carrier.extension_closed,
-                       restriction_closed=True,
-                       convex=carrier.convex, co_convex=carrier.co_convex)
+        carrier = replace(carrier, restriction_closed=True)
     if validate:
         validate_claims(carrier, horizon)
     return Tree(carrier, horizon)

@@ -138,12 +138,39 @@ def test_uc_bound_costs_the_tree_not_its_query_depth(tmp_path):
     lines = [f"ch{d} = {chain_text(d)}" for d in (20, 64)] + [
         f"c11 = {complete_text(11)}", "far = node(1000000, leaf(0), leaf(1))"]
     spec = write_spec(tmp_path, "\n".join(lines) + "\n")
-    for name, bound, forms in (("ch20", 20, ([], ["--via-fan"])), ("ch64", 64, ([],)),
+    for name, bound, forms in (("ch20", 20, ([], ["--via-fan"])),
+                               ("ch64", 64, ([], ["--via-fan"])),
                                ("c11", 11, ([], ["--via-fan"])), ("far", 1000001, ([],))):
         for extra in forms:
             code, text = run(["uc-bound", "--spec", spec, "--fn", name] + extra)
             assert code == 0 and f"BOUND={bound}\n" in text, (name, extra, text[:200])
             assert verify_text(tmp_path, spec, text) == (0, "VERIFY=OK\n"), (name, extra)
+    # the fan searches as deep as the query depth, and no deeper
+    code, text = run(["uc-bound", "--spec", spec, "--fn", "ch64", "--via-fan"])
+    assert "TRACE=fan[brute-force(maxN=64)]=64\n" in text
+    code, text = run(["uc-bound", "--spec", spec, "--fn", "far", "--via-fan"])
+    assert code == 2 and text.startswith("ERROR=BudgetExceededError: "), text
+
+
+def test_nesting_too_deep_is_a_resource_error(tmp_path):
+    # the 1500-node chain through names, one line nesting complement( 2000
+    # deep, and a 3000-line chain of complements
+    chain = ["f1500 = leaf(1500)"] + [f"f{k} = node({k}, leaf({k}), f{k + 1})"
+                                      for k in reversed(range(1500))]
+    nested = "c = " + "complement(" * 2000 + "len_ge(1)" + ")" * 2000
+    lines = ["c0 = len_ge(1)"] + [f"c{k} = complement(c{k - 1})" for k in range(1, 3001)]
+    cases = [("\n".join(chain), ["uc-bound", "--fn", "f0"]),
+             ("\n".join(chain), ["uc-bound", "--fn", "f0", "--via-fan"]),
+             (nested, ["bar-check", "--set", "c", "--depth", "2"]),
+             ("\n".join(lines), ["bar-check", "--set", "c3000", "--depth", "2"])]
+    for text, argv in cases:
+        spec = write_spec(tmp_path, text + "\n")
+        code, out = run([argv[0], "--spec", spec] + argv[1:])
+        assert code == 2 and out.startswith("ERROR=RecursionError: "), (argv, out[:200])
+    # a deep chain is still answered where no walk recurses along it
+    code, out = run(["deco", "--spec", write_spec(tmp_path, "\n".join(chain) + "\n"),
+                     "--fn", "f0"])
+    assert code == 0 and "VERDICT=EXISTS\n" in out, out[:200]
 
 
 def test_uc_bound_is_metered_by_the_walk(tmp_path, monkeypatch):
