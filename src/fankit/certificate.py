@@ -18,11 +18,11 @@ Layout, one KEY=VALUE per line:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from . import __version__
 from ._budget import ScanMeter
+from ._record import Record
 from .continuity import Functional, Leaf, Node, eval_word, is_constant, least_escape
 from .errors import BudgetExceededError, FankitError
 from .sets import DSet, Outcome, avoid_height, bar_verdict, uniform_bound
@@ -38,13 +38,17 @@ class CertificateFormatError(FankitError):
     """The certificate text itself is malformed."""
 
 
-@dataclass
-class Certificate:
-    command: str
-    verdict: str
-    payload: list[tuple[str, str]] = field(default_factory=list)
-    trace: str = ""
-    version: str = __version__
+class Certificate(Record):
+    _fields = ("command", "verdict", "payload", "trace", "version")
+
+    def __init__(self, command: str, verdict: str,
+                 payload: list[tuple[str, str]] | None = None, trace: str = "",
+                 version: str = __version__):
+        self.command = command
+        self.verdict = verdict
+        self.payload = [] if payload is None else payload
+        self.trace = trace
+        self.version = version
 
     def render(self) -> str:
         lines = [HEADER, f"COMMAND={self.command}", f"VERDICT={self.verdict}"]

@@ -9,10 +9,10 @@ be replayed and reconstructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from ._budget import ScanMeter, check_enumeration
+from ._record import FrozenRecord, _set
 from .errors import CertificateError, FuelError, OutOfRangeError, PreconditionError
 from .fan import Bar, FanOracle, minimal_witness
 from .oracles import WKLOracle
@@ -21,27 +21,34 @@ from .trees import Tree
 from .words import EMPTY, ONE, ZERO, Seq, Word, concat, format_word, iter_level, restrict
 
 
-@dataclass(frozen=True)
-class Leaf:
-    value: int
+class Leaf(FrozenRecord):
+    _fields = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Node:
-    index: int
-    low: "Functional"
-    high: "Functional"
+class Node(FrozenRecord):
+    _fields = ("index", "low", "high")
+
+    def __init__(self, index: int, low: Functional, high: Functional):
+        _set(self, "index", index)
+        _set(self, "low", low)
+        _set(self, "high", high)
 
 
 Functional = Union[Leaf, Node]
 
 
-@dataclass(frozen=True)
-class ProgramFunctional:
+class ProgramFunctional(FrozenRecord):
     """A total map given as a bit-querying program with a fuel budget."""
-    run: Callable[[Callable[[int], int]], int]
-    fuel: int
-    label: str = "program"
+    _fields = ("run", "fuel", "label")
+
+    def __init__(self, run: Callable[[Callable[[int], int]], int], fuel: int,
+                 label: str = "program"):
+        _set(self, "run", run)
+        _set(self, "fuel", fuel)
+        _set(self, "label", label)
 
 
 AnyFunctional = Union[Leaf, Node, ProgramFunctional]
@@ -137,10 +144,12 @@ def _pad_assignment(assign: dict[int, int]) -> Seq:
     return Seq.eventually_constant(tuple(assign.get(i, 0) for i in range(width)), 0)
 
 
-@dataclass(frozen=True)
-class ConstancyVerdict:
-    value: int | None = None
-    witnesses: tuple[Seq, Seq] | None = None
+class ConstancyVerdict(FrozenRecord):
+    _fields = ("value", "witnesses")
+
+    def __init__(self, value: int | None = None, witnesses: tuple[Seq, Seq] | None = None):
+        _set(self, "value", value)
+        _set(self, "witnesses", witnesses)
 
     @property
     def constant(self) -> bool:
@@ -362,10 +371,12 @@ def uc_via_fan(f: AnyFunctional, m: Functional, fan: FanOracle) -> int:
 # ---------------------------------------------------------------------------
 # Decidability of non-constancy and of escaping words.
 
-@dataclass(frozen=True)
-class DecoVerdict:
-    exists: bool
-    witnesses: tuple[Seq, Seq] | None = None
+class DecoVerdict(FrozenRecord):
+    _fields = ("exists", "witnesses")
+
+    def __init__(self, exists: bool, witnesses: tuple[Seq, Seq] | None = None):
+        _set(self, "exists", exists)
+        _set(self, "witnesses", witnesses)
 
 
 def deco_decide(f: Functional) -> DecoVerdict:
@@ -409,10 +420,12 @@ def functional_from_defu(d: DSet, fuel: int = 64) -> ProgramFunctional:
     return ProgramFunctional(run, fuel=max(fuel, s) + 2, label="least-permanent-entry")
 
 
-@dataclass(frozen=True)
-class DefuVerdict:
-    exists: bool
-    witness: Word | None = None
+class DefuVerdict(FrozenRecord):
+    _fields = ("exists", "witness")
+
+    def __init__(self, exists: bool, witness: Word | None = None):
+        _set(self, "exists", exists)
+        _set(self, "witness", witness)
 
 
 def least_escape(d: DSet, s: int) -> Word | None:

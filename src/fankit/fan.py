@@ -9,9 +9,9 @@ so an oracle is never trusted blindly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
+from ._record import FrozenRecord, _set
 from .errors import (CertificateError, InconsistencyError, PreconditionError,
                      WitnessError)
 from .sets import DSet, Outcome, avoid_height, closure, complement, uniform_bound
@@ -20,10 +20,12 @@ from .trees import (DEFAULT_FUEL, PathGen, Tree, complete, find_path_convex_uniq
 from .words import Seq, Word, format_word, restrict
 
 
-@dataclass(frozen=True)
-class Bar:
-    carrier: DSet
-    wit: Callable[[Seq], int] | None = None
+class Bar(FrozenRecord):
+    _fields = ("carrier", "wit")
+
+    def __init__(self, carrier: DSet, wit: Callable[[Seq], int] | None = None):
+        _set(self, "carrier", carrier)
+        _set(self, "wit", wit)
 
     def query(self, alpha: Seq) -> int:
         """Call the witness and re-check its claim before trusting it."""
@@ -46,11 +48,13 @@ def minimal_witness(carrier: DSet, scan_cap: int) -> Callable[[Seq], int]:
     return wit
 
 
-@dataclass(frozen=True)
-class FanOracle:
-    raw_bound: Callable[[Bar], int]
-    tag: str
-    reverify: bool = True
+class FanOracle(FrozenRecord):
+    _fields = ("raw_bound", "tag", "reverify")
+
+    def __init__(self, raw_bound: Callable[[Bar], int], tag: str, reverify: bool = True):
+        _set(self, "raw_bound", raw_bound)
+        _set(self, "tag", tag)
+        _set(self, "reverify", reverify)
 
     def bound(self, b: Bar) -> int:
         n = self.raw_bound(b)

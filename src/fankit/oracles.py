@@ -8,10 +8,11 @@ the consuming path generator's trace for replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+from ._budget import check_enumeration
+from ._record import FrozenRecord, _set
 from .errors import CertificateError, PreconditionError
 from .sets import DSet
 from .trees import DEFAULT_FUEL, PathGen, Tree, complete, survival
@@ -24,16 +25,20 @@ class Parity(Enum):
     ODDS = "odds-zero"
 
 
-@dataclass(frozen=True)
-class LLPOOracle:
-    decide: Callable[[Seq], Parity]
-    tag: str
+class LLPOOracle(FrozenRecord):
+    _fields = ("decide", "tag")
+
+    def __init__(self, decide: Callable[[Seq], Parity], tag: str):
+        _set(self, "decide", decide)
+        _set(self, "tag", tag)
 
 
-@dataclass(frozen=True)
-class WKLOracle:
-    solve: Callable[[Tree], PathGen]
-    tag: str
+class WKLOracle(FrozenRecord):
+    _fields = ("solve", "tag")
+
+    def __init__(self, solve: Callable[[Tree], PathGen], tag: str):
+        _set(self, "solve", solve)
+        _set(self, "tag", tag)
 
 
 def llpo_bounded(alpha: Seq, horizon: int) -> Parity:
@@ -56,6 +61,9 @@ def llpo_bounded(alpha: Seq, horizon: int) -> Parity:
 
 
 def llpo_bounded_oracle(horizon: int) -> LLPOOracle:
+    """The bounded-search oracle.  Its horizon + 1 indices are charged to
+    the budget once, here, since every answer scans all of them."""
+    check_enumeration(horizon + 1, f"LLPO search to horizon {horizon}")
     return LLPOOracle(lambda alpha: llpo_bounded(alpha, horizon),
                       tag=f"bounded(h={horizon})")
 

@@ -9,11 +9,11 @@ lies beyond the horizon surface later as certificate-check failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
 from ._budget import MAX_SCAN_DEPTH, ScanMeter, check_enumeration
+from ._record import FrozenRecord, _set
 from .errors import BudgetExceededError, PreconditionError
 from .words import EMPTY, Seq, Word, format_word, iter_level
 
@@ -22,14 +22,19 @@ DEFAULT_HORIZON = 8
 MemberFn = Callable[[Word], bool]
 
 
-@dataclass(frozen=True)
-class DSet:
-    member_fn: MemberFn
-    stab: int | None = None
-    extension_closed: bool = False
-    restriction_closed: bool = False
-    convex: bool = False
-    co_convex: bool = False
+class DSet(FrozenRecord):
+    _fields = ("member_fn", "stab", "extension_closed", "restriction_closed",
+               "convex", "co_convex")
+
+    def __init__(self, member_fn: MemberFn, stab: int | None = None,
+                 extension_closed: bool = False, restriction_closed: bool = False,
+                 convex: bool = False, co_convex: bool = False):
+        _set(self, "member_fn", member_fn)
+        _set(self, "stab", stab)
+        _set(self, "extension_closed", extension_closed)
+        _set(self, "restriction_closed", restriction_closed)
+        _set(self, "convex", convex)
+        _set(self, "co_convex", co_convex)
 
     def member(self, u: Word) -> bool:
         return bool(self.member_fn(u))
@@ -275,18 +280,22 @@ class Outcome(Enum):
     UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(FrozenRecord):
     """Three-valued answer with an independently checkable payload.
 
     YES and NO carry a bound/witness/escape; UNKNOWN carries the depth
     exhausted.  Which payload field is meaningful depends on the query.
     """
-    outcome: Outcome
-    bound: int | None = None
-    witness: tuple | None = None
-    escape: Seq | None = None
-    depth: int | None = None
+    _fields = ("outcome", "bound", "witness", "escape", "depth")
+
+    def __init__(self, outcome: Outcome, bound: int | None = None,
+                 witness: tuple | None = None, escape: Seq | None = None,
+                 depth: int | None = None):
+        _set(self, "outcome", outcome)
+        _set(self, "bound", bound)
+        _set(self, "witness", witness)
+        _set(self, "escape", escape)
+        _set(self, "depth", depth)
 
     @staticmethod
     def yes(bound: int | None = None, witness: tuple | None = None) -> "Verdict":

@@ -9,9 +9,9 @@ References must point at earlier lines, which keeps definitions acyclic.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
 from typing import Callable
 
+from ._record import FrozenRecord, Record, _set
 from .continuity import Functional, Leaf, Node
 from .errors import FankitError, PreconditionError
 from .fan import Bar
@@ -31,12 +31,14 @@ class SpecError(FankitError):
         super().__init__(f"line {line}, column {col}: {message}")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAME, ATOM, LPAREN, RPAREN, COMMA
-    text: str
-    line: int
-    col: int
+class _Token(FrozenRecord):
+    _fields = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        _set(self, "kind", kind)  # NAME, ATOM, EQUALS, LPAREN, RPAREN, COMMA
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
 def _tokenize_line(text: str, line_no: int) -> list[_Token]:
@@ -106,17 +108,21 @@ class _TokenStream:
         return self._pos >= len(self._tokens)
 
 
-@dataclass(frozen=True)
-class _Witness:
-    fn: Callable[[Seq], int]
+class _Witness(FrozenRecord):
+    _fields = ("fn",)
+
+    def __init__(self, fn: Callable[[Seq], int]):
+        _set(self, "fn", fn)
 
 
 Definition = object  # DSet | Tree | Bar | Functional
 
 
-@dataclass
-class SpecDoc:
-    definitions: dict[str, Definition]
+class SpecDoc(Record):
+    _fields = ("definitions",)
+
+    def __init__(self, definitions: dict[str, Definition]):
+        self.definitions = definitions
 
     def _lookup(self, name: str, wanted: str):
         if name not in self.definitions:
@@ -309,7 +315,7 @@ class _Parser:
         new = {key: value for key, value in added.items() if getattr(base, key) != value}
         if new:
             validate_claims(DSet(base.member_fn, **new), tables=self._tables)
-        return replace(base, **added)
+        return base.replace(**added)
 
 
 def parse_specdoc(text: str) -> SpecDoc:

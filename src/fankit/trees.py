@@ -9,10 +9,10 @@ full levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable
 
 from ._budget import MAX_SCAN_DEPTH
+from ._record import FrozenRecord, _set
 from .errors import (BudgetExceededError, CertificateError, FuelError,
                      InconsistencyError, PreconditionError, WitnessError)
 from .sets import DEFAULT_HORIZON, DSet, Verdict, descend, descent_height, validate_claims
@@ -21,10 +21,12 @@ from .words import EMPTY, Seq, Word, format_word, restrict
 DEFAULT_FUEL = 64
 
 
-@dataclass(frozen=True)
-class Tree:
-    carrier: DSet
-    horizon: int = DEFAULT_HORIZON
+class Tree(FrozenRecord):
+    _fields = ("carrier", "horizon")
+
+    def __init__(self, carrier: DSet, horizon: int = DEFAULT_HORIZON):
+        _set(self, "carrier", carrier)
+        _set(self, "horizon", horizon)
 
     def member(self, u: Word) -> bool:
         return self.carrier.member(u)
@@ -42,7 +44,7 @@ def tree(carrier: DSet, horizon: int = DEFAULT_HORIZON, validate: bool = True) -
     """Wrap a DSet as a tree, flagging and (by default) validating
     restriction closure up to the horizon."""
     if not carrier.restriction_closed:
-        carrier = replace(carrier, restriction_closed=True)
+        carrier = carrier.replace(restriction_closed=True)
     if validate:
         validate_claims(carrier, horizon)
     return Tree(carrier, horizon)

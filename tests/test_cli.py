@@ -464,6 +464,25 @@ def test_deep_llpo_horizons_are_metered_by_visits(tmp_path):
         assert verify_text(tmp_path, spec, text) == (0, "VERIFY=OK\n"), text
 
 
+def test_llpo_horizons_beyond_the_budget_are_refused_up_front(tmp_path, monkeypatch):
+    # every answer of the bounded oracle scans indices 0..H, so H + 1 is
+    # charged once, when the oracle is built, before any search
+    spec = write_spec(tmp_path, "t = tree(complement(bit(0,1)))\n"
+                                "a = stab(union(bit(1,1), len_ge(3)), 3)\n")
+    monkeypatch.setenv("FANKIT_BUDGET", "64")
+    argv = ["find-path", "--spec", spec, "--tree", "t", "--bits", "4"]
+    assert run(argv + ["--oracle", "llpo:63"])[0] == 0
+    assert run(argv + ["--oracle", "llpo:64"]) == (
+        2, "ERROR=BudgetExceededError: LLPO search to horizon 64 needs 65 words, budget 64\n")
+    # unchecked, these two ran until stopped
+    monkeypatch.delenv("FANKIT_BUDGET")
+    for argv in (["find-path", "--tree", "t", "--bits", "10", "--oracle", "llpo:99999999999"],
+                 ["defu", "--set", "a", "--oracle", "llpo:99999999999"]):
+        code, text = run(argv[:1] + ["--spec", spec] + argv[1:])
+        assert (code, text) == (2, "ERROR=BudgetExceededError: LLPO search to horizon "
+                                   "99999999999 needs 100000000000 words, budget 1048576\n")
+
+
 def test_deep_scans_and_small_budgets_fail_cleanly(tmp_path, monkeypatch):
     spec = write_spec(tmp_path, BASIC_SPEC + "len3 = len_ge(3)\nt = tree(finite(e, 1, 10))\n")
     for argv in (["bar-check", "--set", "empty", "--depth", "5000"],

@@ -1,0 +1,214 @@
+"""The record types: constructors, value semantics and reprs; the public
+names of the package; and what importing it loads."""
+
+from __future__ import annotations
+
+import ast
+import inspect
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import fankit
+from fankit import (Bar, ConstancyVerdict, DecoVerdict, DefuVerdict, DSet,
+                    FanOracle, LLPOOracle, Leaf, Node, Outcome, ProgramFunctional,
+                    Tree, Verdict, WKLOracle, tree)
+from fankit.certificate import Certificate
+from fankit.specfile import SpecDoc, _Token, _Witness
+
+SRC = Path(fankit.__file__).resolve().parent.parent
+
+# Each record type: its fields in constructor order, and the defaults of
+# the trailing ones.
+RECORDS = {
+    DSet: (("member_fn", "stab", "extension_closed", "restriction_closed", "convex",
+            "co_convex"), (None, False, False, False, False)),
+    Verdict: (("outcome", "bound", "witness", "escape", "depth"), (None, None, None, None)),
+    Tree: (("carrier", "horizon"), (8,)),
+    Bar: (("carrier", "wit"), (None,)),
+    FanOracle: (("raw_bound", "tag", "reverify"), (True,)),
+    LLPOOracle: (("decide", "tag"), ()),
+    WKLOracle: (("solve", "tag"), ()),
+    Leaf: (("value",), ()),
+    Node: (("index", "low", "high"), ()),
+    ProgramFunctional: (("run", "fuel", "label"), ("program",)),
+    ConstancyVerdict: (("value", "witnesses"), (None, None)),
+    DecoVerdict: (("exists", "witnesses"), (None,)),
+    DefuVerdict: (("exists", "witness"), (None,)),
+    _Token: (("kind", "text", "line", "col"), ()),
+    _Witness: (("fn",), ()),
+    SpecDoc: (("definitions",), ()),
+    Certificate: (("command", "verdict", "payload", "trace", "version"),
+                  ([], "", fankit.__version__)),
+}
+MUTABLE = (SpecDoc, Certificate)
+
+
+def sample(cls):
+    fields, _ = RECORDS[cls]
+    return tuple(f"{name}-value" for name in fields)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_constructors_take_the_fields_in_order(cls):
+    fields, defaults = RECORDS[cls]
+    assert tuple(inspect.signature(cls).parameters) == fields
+    values = sample(cls)
+    by_position, by_keyword = cls(*values), cls(**dict(zip(fields, values)))
+    assert by_position == by_keyword
+    assert tuple(getattr(by_position, name) for name in fields) == values
+    required = len(fields) - len(defaults)
+    defaulted = cls(*values[:required])
+    assert tuple(getattr(defaulted, name) for name in fields[required:]) == defaults
+    with pytest.raises(TypeError):
+        cls(*values, "one too many")
+    if required:
+        with pytest.raises(TypeError):
+            cls(*values[:required - 1])
+    with pytest.raises(TypeError):
+        cls(*values[:required], no_such_field=1)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_equal_only_records_of_their_class(cls):
+    values = sample(cls)
+    record = cls(*values)
+    assert record == cls(*values) and not record != cls(*values)
+    for i in range(len(values)):
+        changed = values[:i] + ("other",) + values[i + 1:]
+        assert record != cls(*changed)
+    assert record != values and values != record and record != list(values)
+    others = [other for other in RECORDS if other is not cls
+              and len(RECORDS[other][0]) == len(values)]
+    for other in others:
+        assert record != other(*values)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_frozen_records_hash_and_refuse_assignment(cls):
+    fields, _ = RECORDS[cls]
+    record = cls(*sample(cls))
+    if cls in MUTABLE:
+        assert cls.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(record)
+        setattr(record, fields[0], "changed")
+        assert getattr(record, fields[0]) == "changed"
+        return
+    assert hash(record) == hash(cls(*sample(cls)))
+    assert {record: 1}[cls(*sample(cls))] == 1
+    for name in fields + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, "changed")
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == cls(*sample(cls))
+
+
+def test_every_certificate_gets_a_fresh_payload():
+    first, second = Certificate("c", "YES"), Certificate("c", "YES")
+    first.payload.append(("BOUND", "1"))
+    assert second.payload == [] and Certificate("c", "YES").payload == []
+    payload = [("BOUND", "2")]
+    assert Certificate("c", "YES", payload).payload is payload
+
+
+def member(u):
+    return True
+
+
+def test_reprs():
+    assert repr(Leaf(1)) == "Leaf(value=1)"
+    assert repr(Node(2, Leaf(0), Node(0, Leaf(1), Leaf(2)))) == (
+        "Node(index=2, low=Leaf(value=0), "
+        "high=Node(index=0, low=Leaf(value=1), high=Leaf(value=2)))")
+    assert repr(Verdict.unknown(4)) == ("Verdict(outcome=<Outcome.UNKNOWN: 'UNKNOWN'>, "
+                                        "bound=None, witness=None, escape=None, depth=4)")
+    assert repr(Verdict(Outcome.YES, 3)) == ("Verdict(outcome=<Outcome.YES: 'YES'>, "
+                                             "bound=3, witness=None, escape=None, depth=None)")
+    assert repr(ConstancyVerdict(1)) == "ConstancyVerdict(value=1, witnesses=None)"
+    assert repr(DecoVerdict(False)) == "DecoVerdict(exists=False, witnesses=None)"
+    assert repr(DefuVerdict(True, (0, 1))) == "DefuVerdict(exists=True, witness=(0, 1))"
+    assert repr(Certificate("bar-check --set a --depth 3", "YES", [("BOUND", "2")], "t")) == (
+        "Certificate(command='bar-check --set a --depth 3', verdict='YES', "
+        f"payload=[('BOUND', '2')], trace='t', version='{fankit.__version__}')")
+    assert repr(SpecDoc({"a": Leaf(3)})) == "SpecDoc(definitions={'a': Leaf(value=3)})"
+    assert repr(_Token("NAME", "a", 1, 2)) == "_Token(kind='NAME', text='a', line=1, col=2)"
+    # DSet keeps its own repr: the flags it holds, not its membership function
+    assert repr(DSet(member)) == "DSet[plain]"
+    assert repr(DSet(member, 3, True, False, True)) == "DSet[stab=3 extension_closed convex]"
+    assert repr(DSet(member, co_convex=True)) == "DSet[co_convex]"
+    assert repr(Tree(DSet(member, restriction_closed=True))) == \
+        "Tree(carrier=DSet[restriction_closed], horizon=8)"
+
+
+def test_replace_makes_a_changed_copy():
+    d = DSet(member, stab=3)
+    closed = d.replace(restriction_closed=True, convex=True)
+    assert closed == DSet(member, 3, restriction_closed=True, convex=True)
+    assert d == DSet(member, stab=3)  # the original is unchanged
+    assert d.replace() == d and d.replace() is not d
+    t = Tree(closed)
+    assert t.replace(horizon=5) == Tree(closed, 5) and t.horizon == 8
+    with pytest.raises(TypeError):
+        d.replace(no_such_field=True)
+    # tree() flags its carrier restriction-closed through replace
+    assert tree(DSet(member), validate=False).carrier == DSet(member, restriction_closed=True)
+
+
+# The names `import fankit` gives; a rewrite of the package's __init__
+# must keep every one.
+PUBLIC_NAMES = {
+    "Bar", "BudgetExceededError", "CertificateError", "ConstancyVerdict", "DSet",
+    "DecoVerdict", "DefuVerdict", "EMPTY", "FanOracle", "FankitError", "FuelError",
+    "Functional", "InconsistencyError", "LLPOOracle", "Leaf", "Node", "ONE",
+    "OutOfRangeError", "Outcome", "Parity", "PathGen", "PreconditionError",
+    "ProgramFunctional", "Seq", "Tree", "Verdict", "WKLOracle", "WitnessError", "Word",
+    "ZERO", "bar_from_pc", "bar_verdict", "bit_at", "bound_of", "cfan_bound", "closure",
+    "coconvex_bound", "complement", "complete", "concat", "convexity_verdict",
+    "count_ones_ge", "deco_decide", "defu_set_from_functional", "defu_via_wkl", "dset",
+    "empty_set", "escape_witness", "eval_traced", "eval_word", "evaluate",
+    "fan_bruteforce", "fan_from_lpl", "find_path_convex_unique", "finite_set",
+    "format_word", "full_set", "functional_from_bar", "functional_from_defu",
+    "has_descendant", "has_prefix", "interior", "intersect_sets", "is_all_one",
+    "is_all_zero", "is_constant", "is_infinite_to", "is_summit", "iter_level",
+    "least_uniform_bound", "len_ge", "level", "lex_less", "llpo_bounded",
+    "llpo_bounded_oracle", "llpo_from_path_oracle", "llpo_probe_tree", "lpl_from_wkl",
+    "materialize", "members_at", "minimal_witness", "parse_word", "path_modulus",
+    "pointwise_modulus", "query_depth", "replay", "residual", "restrict", "restrict_set",
+    "survival", "survival_verdict", "survivor_width", "tree", "uc_bound_bruteforce",
+    "uc_via_fan", "uniform_bound", "uniform_bound_ext_closed", "union_sets",
+    "wkl_from_llpo", "wkl_oracle_from_llpo", "wkl_unique_from_fan", "word",
+}
+
+
+def test_the_public_names_stay():
+    exported = {name for name in dir(fankit) if not name.startswith("_")
+                and not isinstance(getattr(fankit, name), types.ModuleType)}
+    assert exported == PUBLIC_NAMES
+    assert fankit.__version__
+
+
+def test_importing_the_cli_loads_no_code_generator():
+    probe = ("import sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "import fankit, fankit.cli\n"
+             "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.split() == []
+
+
+def test_no_module_imports_dataclasses_or_runs_generated_code():
+    for path in sorted((SRC / "fankit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in [alias.name for alias in node.names], path
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in ("exec", "eval", "compile"), path
