@@ -37,9 +37,23 @@ def check_enumeration(count: int, operation: str | None = None) -> None:
     names the operation when one is given."""
     budget = enumeration_budget()
     if count > budget:
-        if operation is None:
-            raise BudgetExceededError(f"scan of {count} words exceeds budget {budget}")
-        raise BudgetExceededError(f"{operation} needs {count} words, budget {budget}")
+        _refuse(str(count), operation, budget)
+
+
+def check_enumeration_exp(exp: int, operation: str | None = None) -> None:
+    """check_enumeration for a scan of 2^exp words.  The count is compared
+    by its exponent and named as a power, so a depth given by the user
+    never builds a huge integer: 2^exp exceeds the budget exactly when exp
+    reaches the budget's bit length."""
+    budget = enumeration_budget()
+    if exp >= budget.bit_length():
+        _refuse(f"2^{exp}", operation, budget)
+
+
+def _refuse(count: str, operation: str | None, budget: int) -> None:
+    if operation is None:
+        raise BudgetExceededError(f"scan of {count} words exceeds budget {budget}")
+    raise BudgetExceededError(f"{operation} needs {count} words, budget {budget}")
 
 
 class ScanMeter:

@@ -9,14 +9,15 @@ be replayed and reconstructed.
 
 from __future__ import annotations
 
+from operator import and_
 from typing import Callable, Union
 
-from ._budget import ScanMeter, check_enumeration
+from ._budget import ScanMeter, check_enumeration_exp
 from ._record import FrozenRecord, _set
 from .errors import CertificateError, FuelError, OutOfRangeError, PreconditionError
 from .fan import Bar, FanOracle, minimal_witness
 from .oracles import WKLOracle
-from .sets import DSet, interior
+from .sets import DSet, _index_of, _word_at, interior
 from .trees import Tree
 from .words import EMPTY, ONE, ZERO, Seq, Word, concat, format_word, iter_level, restrict
 
@@ -428,15 +429,24 @@ class DefuVerdict(FrozenRecord):
         _set(self, "witness", witness)
 
 
+def _membership_table(d: DSet, s: int) -> bytearray:
+    """d's membership of every word up to length s, one byte per word, in
+    the level-order layout of sets.validate_claims.  Each word is asked
+    once, a level at a time; level order is shortlex order.  The
+    membership function is called directly, as DSet.member would add a
+    Python call to each word."""
+    check_enumeration_exp(s + 1, f"defu escape scan to depth {s}")
+    table = bytearray()
+    for n in range(s + 1):
+        table += bytes(map(bool, map(d.member_fn, iter_level(n))))
+    return table
+
+
 def least_escape(d: DSet, s: int) -> Word | None:
     """First word outside d, shortest first and then in lexicographic
     order, among the words up to the stabilization depth s."""
-    check_enumeration(1 << (s + 1))
-    for n in range(s + 1):
-        for u in iter_level(n):
-            if not d.member(u):
-                return u
-    return None
+    at = _membership_table(d, s).find(0)
+    return None if at < 0 else _word_at(at)
 
 
 def defu_via_wkl(d: DSet, wkl: WKLOracle) -> DefuVerdict:
@@ -445,36 +455,47 @@ def defu_via_wkl(d: DSet, wkl: WKLOracle) -> DefuVerdict:
     The guide tree keeps words whose own prefixes escape at least as
     early as any escape seen at their length; any path through it
     funnels past an escaping prefix whenever one exists at all, so a
-    bounded scan along the path settles the question.
+    bounded scan along the path settles the question.  Every question
+    about d reads one table of its words up to the stabilization depth.
     """
     if d.stab is None:
         raise PreconditionError("set needs a declared stabilization depth")
     s = d.stab
-    escape = least_escape(d, s)
-    e = None if escape is None else len(escape)
+    inside = _membership_table(d, s)
+    at = inside.find(0)
+    e = None if at < 0 else len(_word_at(at))  # the length of the least escape
 
     def t_member(u: Word) -> bool:
-        if e is None or len(u) < e:
-            return True
-        return any(not d.member(u[:k]) for k in range(e + 1))
+        # every word shorter than e is in d, so a prefix of u escapes by
+        # length e exactly when u[:e] does
+        return e is None or len(u) < e or not inside[_index_of(u[:e])]
 
     guide = Tree(DSet(t_member, stab=(0 if e is None else e), restriction_closed=True))
-    gen = wkl.solve(guide)
-    alpha = gen.as_seq()
-    inner = interior(d)
-    bound = None
-    for n in range(s + 1):
-        if inner.member(restrict(alpha, n)):
-            bound = n
-            break
-    if bound is None:
+    alpha = wkl.solve(guide).as_seq()
+    # the interior of d: d itself at level s, and above it, a level at a
+    # time, inner[i] = inside[i] and inner[2i + 1] and inner[2i + 2]
+    inner = bytearray(inside)
+    for n in range(s - 1, -1, -1):
+        lo, hi = (1 << n) - 1, (2 << n) - 1  # level n; level n + 1 is hi..2hi
+        kids = inner[hi:2 * hi + 1]
+        inner[lo:hi] = bytes(map(and_, inside[lo:hi], map(and_, kids[0::2], kids[1::2])))
+
+    def along_path():
+        """Positions of alpha's prefixes of length 0..s; a bit is pulled
+        from the path only when the next prefix is asked for."""
+        i = 0
+        for n in range(s + 1):
+            yield i
+            if n < s:
+                i = 2 * i + 1 + alpha.at(n)
+
+    if not any(inner[i] for i in along_path()):
         raise CertificateError(
             "the interior is not a bar along the produced path; "
             "the bar assertion on the interior was false")
-    for n in range(max(bound, s) + 1):
-        u = restrict(alpha, n)
-        if not d.member(u):
-            return DefuVerdict(exists=True, witness=u)
+    for n, i in enumerate(along_path()):
+        if not inside[i]:
+            return DefuVerdict(exists=True, witness=restrict(alpha, n))
     return DefuVerdict(exists=False)
 
 

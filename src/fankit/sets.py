@@ -116,6 +116,15 @@ def _word_at(i: int) -> Word:
     return tuple((v >> (n - 1 - k)) & 1 for k in range(n))
 
 
+def _index_of(u: Word) -> int:
+    """The position of the word u in validate_claims' level-order table:
+    walk down from the root, bit b leading to child 2i + 1 + b."""
+    i = 0
+    for b in u:
+        i = 2 * i + 1 + b
+    return i
+
+
 def dset(member_fn: MemberFn, *, stab: int | None = None,
          extension_closed: bool = False, restriction_closed: bool = False,
          convex: bool = False, co_convex: bool = False,
@@ -252,18 +261,22 @@ def interior(a: DSet) -> DSet:
     """Words all of whose extensions stay inside a.
 
     Decidable only with a declared stabilization depth: the recursion
-    u in A* iff u in A and both children in A* bottoms out there.
+    u in A* iff u in A and both children in A* bottoms out there.  Each
+    word the memo learns is charged to one ScanMeter held by the set, so
+    the memo never holds more words than the budget.
     """
     if a.stab is None:
         raise PreconditionError("interior needs a declared stabilization depth")
     s = a.stab
     memo: dict[Word, bool] = {}
+    meter = ScanMeter()
 
     def mem(u: Word) -> bool:
         if len(u) >= s:
             return a.member(u)
         got = memo.get(u)
         if got is None:
+            meter.tick()
             got = a.member(u) and mem(u + (0,)) and mem(u + (1,))
             memo[u] = got
         return got

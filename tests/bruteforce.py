@@ -38,6 +38,11 @@ def brute_first_escape(member: Member, n: int) -> tuple | None:
     return next((u for u in words_at(n) if not has_prefix_in(member, u)), None)
 
 
+def brute_least_escape(member: Member, depth: int) -> tuple | None:
+    """Shortlex-first word of length <= depth outside the set."""
+    return next((u for u in all_words(depth) if not member(u)), None)
+
+
 def brute_interior_member(member: Member, stab: int, u: tuple, slack: int = 2) -> bool:
     """All extensions inside the set, enumerated to just past the
     stabilization depth."""

@@ -518,11 +518,42 @@ def test_defu_not_exists_is_rechecked_within_the_producers_budget(tmp_path, monk
     assert code == 0 and "VERDICT=NOT_EXISTS" in text
     for budget, expected in (("1023", 2), ("1024", 0)):
         monkeypatch.setenv("FANKIT_BUDGET", budget)
-        assert run(["defu", "--spec", spec, "--set", "full"])[0] == expected
+        refusal = ("ERROR=BudgetExceededError: defu escape scan to depth 9 needs 2^10 words, "
+                   f"budget {budget}\n")
+        code, out = run(["defu", "--spec", spec, "--set", "full"])
+        assert code == expected and (expected == 0 or out == refusal), out
         code, out = verify_text(tmp_path, spec, text)
         assert code == expected, out
-        assert out == ("VERIFY=OK\n" if expected == 0 else
-                       f"ERROR=BudgetExceededError: scan of 1024 words exceeds budget {budget}\n")
+        assert out == ("VERIFY=OK\n" if expected == 0 else refusal)
+
+
+def test_defu_refuses_an_escape_at_the_stab_depth(tmp_path):
+    # the path runs through the least escape 0000, and no prefix of it is
+    # in the interior
+    spec = write_spec(tmp_path, "d = stab(complement(prefix(0000)), 4)\n")
+    assert run(["defu", "--spec", spec, "--set", "d"]) == (
+        1, "ERROR=CertificateError: the interior is not a bar along the produced path; "
+           "the bar assertion on the interior was false\n")
+
+
+def test_defu_on_a_huge_stab_is_refused_by_its_exponent(tmp_path, monkeypatch):
+    monkeypatch.delenv("FANKIT_BUDGET", raising=False)
+    spec = write_spec(tmp_path, "d = stab(len_ge(0), 20000)\n"
+                                "huge = stab(len_ge(0), 99999999999)\n")
+    for name, s in (("d", 20000), ("huge", 99999999999)):
+        refusal = (2, f"ERROR=BudgetExceededError: defu escape scan to depth {s} "
+                      f"needs 2^{s + 1} words, budget 1048576\n")
+        assert run(["defu", "--spec", spec, "--set", name]) == refusal
+        cert = Certificate(f"defu --set {name} --oracle llpo:16", "NOT_EXISTS", [])
+        assert verify_text(tmp_path, spec, cert.render()) == refusal
+
+
+def test_interior_is_metered(tmp_path, monkeypatch):
+    # unmetered, this took about 1 s and 126 MB at any budget
+    spec = write_spec(tmp_path, "a = interior(complement(finite(111111111111111111)))\n")
+    monkeypatch.setenv("FANKIT_BUDGET", "64")
+    code, text = run(["bar-check", "--spec", spec, "--set", "a", "--depth", "4"])
+    assert code == 2 and text.startswith("ERROR=BudgetExceededError"), text
 
 
 def test_non_utf8_text_and_unreadable_digits_exit_3(tmp_path):

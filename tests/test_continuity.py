@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,11 +18,14 @@ from fankit import (Bar, DSet, Leaf, Node, ONE, Seq, ZERO, bar_from_pc,
                     uc_bound_bruteforce, uc_via_fan, uniform_bound, union_sets,
                     wkl_oracle_from_llpo)
 from fankit.certificate import Certificate, check_uc_bound
+from fankit.continuity import least_escape
 from fankit.errors import CertificateError, FuelError, PreconditionError
 from fankit.specfile import SpecDoc
 
-from bruteforce import all_words, brute_tree_eval, brute_uc_bound, words_at
-from corpus import random_bar_interior_set, random_functional, random_stabilized_bar
+from bruteforce import (all_words, brute_least_escape, brute_tree_eval, brute_uc_bound,
+                        words_at)
+from corpus import (random_bar_interior_set, random_functional, random_stabilized_bar,
+                    table_member)
 
 
 def wkl_backend(h=16):
@@ -343,6 +347,59 @@ def test_defu_via_wkl_examples():
 
     disguised = dset(lambda u: len(u) < 1 or u[0] == u[0], stab=1)
     assert not defu_via_wkl(disguised, wkl).exists
+
+
+def _set_escaping_at_stab(rng: random.Random, s: int) -> DSet:
+    """Stabilized set with a word outside it at level s, and perhaps
+    shorter ones: its interior is no bar."""
+    table = {u: rng.random() < 0.9 for u in all_words(s)}
+    table[tuple(rng.randrange(2) for _ in range(s))] = False
+    return DSet(table_member(table, s), stab=s)
+
+
+def test_defu_against_bruteforce():
+    rng = random.Random(61)
+    wkl = wkl_backend()
+    for k in range(150):
+        s = rng.randrange(0, 8)
+        bar_interior = k % 3 != 0
+        d = random_bar_interior_set(rng, s) if bar_interior else _set_escaping_at_stab(rng, s)
+        escape = brute_least_escape(d.member, s)
+        assert least_escape(d, s) == escape
+        if escape is not None and len(escape) == s:
+            # the path runs through an escape at level s, where the
+            # interior is d itself, so none of its prefixes is inside
+            with pytest.raises(CertificateError, match="the interior is not a bar"):
+                defu_via_wkl(d, wkl)
+            continue
+        try:
+            v = defu_via_wkl(d, wkl)
+        except CertificateError:
+            assert not bar_interior
+            continue
+        assert v.exists == (escape is not None)
+        if v.exists:
+            assert not d.member(v.witness) and len(v.witness) == len(escape)
+
+
+def test_defu_asks_each_word_up_to_the_stab_once():
+    asked = []
+    d = DSet(lambda u: asked.append(u) or True, stab=10)
+    assert not defu_via_wkl(d, wkl_backend()).exists
+    assert len(asked) == 2 ** 11 - 1 == len(set(asked))
+
+
+def test_defu_keeps_a_byte_table_not_a_memo_of_words():
+    d = DSet(lambda u: True, stab=14)
+    wkl = wkl_backend()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        assert not defu_via_wkl(d, wkl).exists
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_cfan_bound_examples():

@@ -11,7 +11,7 @@ from fankit import (DSet, bar_verdict, closure, complement,
                     convexity_verdict, dset, finite_set, full_set, interior,
                     iter_level, len_ge, restrict, restrict_set, uniform_bound,
                     uniform_bound_ext_closed, union_sets)
-from fankit.errors import PreconditionError
+from fankit.errors import BudgetExceededError, PreconditionError
 from fankit.sets import validate_claims
 from fankit.specfile import SpecError, parse_specdoc
 
@@ -68,6 +68,22 @@ def test_interior_commutes_with_restriction():
                     expect = brute_interior_member(a.member, a.stab, u + w)
                     assert left.member(w) == expect
                     assert right.member(w) == expect
+
+
+def test_interior_charges_each_word_it_learns_once(monkeypatch):
+    # a stabilizes at 6; from the root, the recursion learns every one of
+    # the 63 shorter words, and later questions are answered from the memo
+    a = complement(finite_set([(1, 1, 1, 1, 1)]))
+    monkeypatch.setenv("FANKIT_BUDGET", "63")
+    inner = interior(a)
+    assert [inner.member(u) for u in all_words(7)] == \
+        [brute_interior_member(a.member, 6, u) for u in all_words(7)]
+    monkeypatch.setenv("FANKIT_BUDGET", "62")
+    inner = interior(a)
+    with pytest.raises(BudgetExceededError):
+        inner.member(())
+    cells = dict(zip(inner.member_fn.__code__.co_freevars, inner.member_fn.__closure__))
+    assert len(cells["memo"].cell_contents) <= 62
 
 
 def test_interior_examples():
