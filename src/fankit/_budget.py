@@ -57,15 +57,18 @@ def _refuse(count: str, operation: str | None, budget: int) -> None:
 
 
 class ScanMeter:
-    """Counts visited nodes in a pruned search against the budget."""
+    """Counts visited nodes in a pruned search against the budget.  A meter
+    given an operation names it, and counts words, in its refusal."""
 
-    __slots__ = ("visits", "limit")
+    __slots__ = ("visits", "limit", "operation")
 
-    def __init__(self, limit: int | None = None):
+    def __init__(self, limit: int | None = None, operation: str | None = None):
         self.visits = 0
         self.limit = limit if limit is not None else enumeration_budget()
+        self.operation = operation
 
     def tick(self, n: int = 1) -> None:
         self.visits += n
         if self.visits > self.limit:
-            raise BudgetExceededError(f"scan visited {self.visits} nodes, budget {self.limit}")
+            what, unit = ("scan", "nodes") if self.operation is None else (self.operation, "words")
+            raise BudgetExceededError(f"{what} visited {self.visits} {unit}, budget {self.limit}")

@@ -18,6 +18,7 @@ Layout, one KEY=VALUE per line:
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Callable
 
 from . import __version__
@@ -27,7 +28,7 @@ from .continuity import Functional, Leaf, Node, eval_word, is_constant, least_es
 from .errors import BudgetExceededError, FankitError
 from .sets import DSet, Outcome, avoid_height, bar_verdict, uniform_bound
 from .specfile import SpecDoc
-from .trees import complete, tree_levels
+from .trees import Tree, complete, tree_levels
 from .words import Word, format_word, parse_word
 
 HEADER = "FANKIT-CERT"
@@ -189,25 +190,22 @@ def check_uniform_bound(cert: Certificate, doc: SpecDoc, name: str, limit: int):
     return _check_scan(cert, doc.get_set(name), limit, "--max", uniform_bound)
 
 
+def level_listing(t: Tree, depth: int) -> list[str]:
+    """The WITNESS= values of complete-tree: for each level k of t's
+    completion up to depth, "k:" and its members in lex order."""
+    return [f"{k}:{' '.join(map(format_word, members))}"
+            for k, members in enumerate(tree_levels(complete(t), depth))]
+
+
 def check_complete_tree(cert: Certificate, doc: SpecDoc, name: str, depth: int):
-    t = doc.get_tree(name)
-    seen: dict[int, str] = {}
-    for value in cert.values("WITNESS"):
-        if ":" not in value:
-            return False, [f"malformed level listing {value!r}"]
-        idx, words = value.split(":", 1)
-        k = _count(idx, "WITNESS level")
-        if k > depth:
-            return False, [f"level {k} lies outside 0..{depth}"]
-        if k in seen:
-            return False, [f"level {k} is listed twice"]
-        seen[k] = words
-    issues = []
-    for k, members in enumerate(tree_levels(complete(t), depth)):
-        expected = " ".join(format_word(u) for u in members)
-        if seen.get(k) != expected:
-            issues.append(f"level {k}: certificate says {seen.get(k)!r}, "
-                          f"recomputation says {expected!r}")
+    """The listing must be level_listing's, line for line and in order."""
+    listing = cert.values("WITNESS")
+    for value in listing:
+        _count(value.split(":", 1)[0], "WITNESS level")
+    expected = level_listing(doc.get_tree(name), depth)
+    issues = [f"WITNESS line {k}: certificate says {got!r}, recomputation says {want!r}"
+              for k, (got, want) in enumerate(zip_longest(listing, expected))
+              if got != want]
     return (not issues), issues
 
 

@@ -15,7 +15,7 @@ from collections import namedtuple
 from .certificate import (Certificate, CertificateFormatError, _count, check_bar_check,
                           check_coconvex_bound, check_complete_tree, check_deco,
                           check_defu, check_find_path, check_uc_bound,
-                          check_uniform_bound, verify)
+                          check_uniform_bound, level_listing, verify)
 from .continuity import deco_decide, defu_via_wkl, path_modulus, query_depth, \
     uc_bound_bruteforce, uc_via_fan
 from .errors import (BudgetExceededError, CertificateError, FankitError,
@@ -24,9 +24,8 @@ from .errors import (BudgetExceededError, CertificateError, FankitError,
 from .fan import coconvex_bound, fan_bruteforce
 from .oracles import WKLOracle, llpo_bounded_oracle, wkl_from_llpo, \
     wkl_oracle_from_llpo
-from .sets import Outcome, bar_verdict, uniform_bound
+from .sets import bar_verdict, uniform_bound
 from .specfile import SpecError, load_specdoc
-from .trees import complete, tree_levels
 from .words import format_word, restrict
 
 EXIT_YES = 0
@@ -70,27 +69,26 @@ def _oracle_horizon(text: str) -> int:
     return horizon
 
 
+def _do_scan(doc, name, limit, scan):
+    """The produce step of bar-check and uniform-bound: the verdict of
+    scan(set, limit) and its payload, as _check_scan reads them."""
+    verdict = scan(doc.get_set(name), limit)
+    if verdict.is_no:
+        return "NO", [("ESCAPE", format_word(restrict(verdict.escape, limit)))], ""
+    bound = verdict.depth if verdict.is_unknown else verdict.bound
+    return verdict.outcome.value, [("BOUND", str(bound))], ""
+
+
 def _do_bar_check(doc, name, depth):
-    verdict = bar_verdict(doc.get_set(name), depth)
-    if verdict.outcome is Outcome.YES:
-        return "YES", [("BOUND", str(verdict.bound))], ""
-    if verdict.outcome is Outcome.NO:
-        return "NO", [("ESCAPE", format_word(restrict(verdict.escape, depth)))], ""
-    return "UNKNOWN", [("BOUND", str(verdict.depth))], ""
+    return _do_scan(doc, name, depth, bar_verdict)
 
 
 def _do_uniform_bound(doc, name, limit):
-    verdict = uniform_bound(doc.get_set(name), limit)
-    if verdict.outcome is Outcome.YES:
-        return "YES", [("BOUND", str(verdict.bound))], ""
-    return "UNKNOWN", [("BOUND", str(verdict.depth))], ""
+    return _do_scan(doc, name, limit, uniform_bound)
 
 
 def _do_complete_tree(doc, name, depth):
-    completed = complete(doc.get_tree(name))
-    payload = [("WITNESS", f"{k}:{' '.join(format_word(u) for u in members)}")
-               for k, members in enumerate(tree_levels(completed, depth))]
-    return "YES", payload, ""
+    return "YES", [("WITNESS", value) for value in level_listing(doc.get_tree(name), depth)], ""
 
 
 def _do_find_path(doc, name, bits, horizon):

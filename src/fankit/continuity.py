@@ -10,7 +10,7 @@ be replayed and reconstructed.
 from __future__ import annotations
 
 from operator import and_
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 from ._budget import ScanMeter, check_enumeration_exp
 from ._record import FrozenRecord, _set
@@ -55,11 +55,22 @@ class ProgramFunctional(FrozenRecord):
 AnyFunctional = Union[Leaf, Node, ProgramFunctional]
 
 
+def _nodes(f: Functional) -> Iterator[Functional]:
+    """Each distinct node of f once, leaves included: a sub-functional
+    shared by name is read once, however many paths lead to it."""
+    seen, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            if isinstance(node, Node):
+                stack += (node.low, node.high)
+
+
 def query_depth(f: Functional) -> int:
     """1 + the largest index the tree can query; 0 for a leaf."""
-    if isinstance(f, Leaf):
-        return 0
-    return max(f.index + 1, query_depth(f.low), query_depth(f.high))
+    return max(node.index + 1 if isinstance(node, Node) else 0 for node in _nodes(f))
 
 
 def eval_traced(f: AnyFunctional, alpha: Seq) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -221,13 +232,7 @@ def _last_dependence(f: Functional, floor: int) -> tuple[int, dict[int, int]] | 
     bit at or above n: two sequences that agree below n differ in finitely
     many of the bits f reads, and those can be flipped one at a time.
     """
-    indices, seen, stack = set(), set(), [f]
-    while stack:  # shared sub-functionals are read once
-        node = stack.pop()
-        if isinstance(node, Node) and id(node) not in seen:
-            seen.add(id(node))
-            indices.add(node.index)
-            stack += (node.low, node.high)
+    indices = {node.index for node in _nodes(f) if isinstance(node, Node)}
     meter = ScanMeter()
     for i in sorted(indices, reverse=True):
         if i < floor:
@@ -247,19 +252,24 @@ def uc_bound_bruteforce(f: Functional) -> int:
 
 def bound_of(f: Functional) -> int:
     """Largest leaf value; a bound for every evaluation."""
-    if isinstance(f, Leaf):
-        return f.value
-    return max(bound_of(f.low), bound_of(f.high))
+    return max(node.value for node in _nodes(f) if isinstance(node, Leaf))
 
 
 def path_modulus(f: Functional) -> Functional:
     """The exact query-closure modulus: along each branch, the leaf holds
-    1 + the largest index met on the way."""
+    1 + the largest index met on the way.  A node reached again with the
+    same largest index gets the same modulus node, so f's sharing is kept."""
+    memo: dict[tuple[int, int], Functional] = {}
+
     def go(node: Functional, seen: int) -> Functional:
-        if isinstance(node, Leaf):
-            return Leaf(seen)
-        deeper = max(seen, node.index + 1)
-        return Node(node.index, go(node.low, deeper), go(node.high, deeper))
+        key = (id(node), seen)
+        if key not in memo:
+            if isinstance(node, Leaf):
+                memo[key] = Leaf(seen)
+            else:
+                deeper = max(seen, node.index + 1)
+                memo[key] = Node(node.index, go(node.low, deeper), go(node.high, deeper))
+        return memo[key]
     return go(f, 0)
 
 

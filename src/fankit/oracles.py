@@ -41,13 +41,9 @@ class WKLOracle(FrozenRecord):
         _set(self, "tag", tag)
 
 
-def llpo_bounded(alpha: Seq, horizon: int) -> Parity:
-    """Bounded-search split for a sequence with at most one 1.
-
-    Scans indices 0..horizon.  A 1 at an odd index settles EVENS, at an
-    even index ODDS; when nothing shows up the fixed preference is EVENS.
-    Exact whenever the sequence's single 1 (if any) sits in the scan.
-    """
+def _single_one(alpha: Seq, horizon: int) -> int | None:
+    """The index of the 1 among alpha's indices 0..horizon, None when there
+    is none; a second 1 breaks every LLPO instance's precondition."""
     hit = None
     for i in range(horizon + 1):
         if alpha.at(i) == 1:
@@ -55,6 +51,17 @@ def llpo_bounded(alpha: Seq, horizon: int) -> Parity:
                 raise PreconditionError(
                     f"sequence has two ones, at indices {hit} and {i}")
             hit = i
+    return hit
+
+
+def llpo_bounded(alpha: Seq, horizon: int) -> Parity:
+    """Bounded-search split for a sequence with at most one 1.
+
+    Scans indices 0..horizon.  A 1 at an odd index settles EVENS, at an
+    even index ODDS; when nothing shows up the fixed preference is EVENS.
+    Exact whenever the sequence's single 1 (if any) sits in the scan.
+    """
+    hit = _single_one(alpha, horizon)
     if hit is None or hit % 2 == 1:
         return Parity.EVENS
     return Parity.ODDS
@@ -129,13 +136,7 @@ def llpo_from_path_oracle(alpha: Seq, path_oracle: Callable[[Tree], PathGen],
     """Answer the even/odd split by routing a path oracle through the
     probe tree: a path through the left arm certifies the even positions
     zero, through the right arm the odd ones."""
-    hit = None
-    for i in range(horizon + 1):
-        if alpha.at(i) == 1:
-            if hit is not None:
-                raise PreconditionError(
-                    f"sequence has two ones, at indices {hit} and {i}")
-            hit = i
+    _single_one(alpha, horizon)  # refuses two ones within the horizon
     probe = llpo_probe_tree(alpha)
     gen = path_oracle(probe)
     w = gen.take(2)

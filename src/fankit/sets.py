@@ -55,8 +55,8 @@ def validate_claims(ds: DSet, horizon: int = DEFAULT_HORIZON,
     """Spot-check declared stab and flags on all words up to the horizon.
 
     Each word's membership is asked once, in preorder (the order of a
-    descent, so a closure tests its base once per word), into a table in
-    level order: the length-n word with bit value v sits at 2^n - 1 + v,
+    descent, so a closure tests its base once per word), into a byte table
+    in level order: the length-n word with bit value v sits at 2^n - 1 + v,
     its children at 2i + 1 and 2i + 2, its parent at (i - 1) // 2.  The
     claims are then checked against the table; a word is formatted only
     for the message of a failed check.  A caller that passes `tables`
@@ -73,7 +73,7 @@ def validate_claims(ds: DSet, horizon: int = DEFAULT_HORIZON,
             or ds.convex or ds.co_convex):
         return
     if inside is None:
-        inside = [False] * ((2 << horizon) - 1)
+        inside = bytearray((2 << horizon) - 1)
         stack = [(EMPTY, 0)]
         while stack:
             u, i = stack.pop()
@@ -101,11 +101,10 @@ def validate_claims(ds: DSet, horizon: int = DEFAULT_HORIZON,
             if inside[i] and not inside[(i - 1) // 2]:
                 raise PreconditionError(
                     f"restriction-closed flag violated below {format_word(_word_at(i))}")
-    for flag, name, want in ((ds.convex, "convex", True), (ds.co_convex, "co-convex", False)):
+    for flag, name, want in ((ds.convex, "convex", 1), (ds.co_convex, "co-convex", 0)):
         if flag:
             for n in range(horizon + 1):
-                row = inside[(1 << n) - 1:(2 << n) - 1]
-                if _contiguity_gap([m == want for m in row]) is not None:
+                if _gap(inside[(1 << n) - 1:(2 << n) - 1], want) is not None:
                     raise PreconditionError(f"{name} flag violated at level {n}")
 
 
@@ -269,7 +268,7 @@ def interior(a: DSet) -> DSet:
         raise PreconditionError("interior needs a declared stabilization depth")
     s = a.stab
     memo: dict[Word, bool] = {}
-    meter = ScanMeter()
+    meter = ScanMeter(operation=f"interior to stab {s}")
 
     def mem(u: Word) -> bool:
         if len(u) >= s:
@@ -432,22 +431,13 @@ def uniform_bound_ext_closed(b: DSet, max_n: int) -> Verdict:
     return uniform_bound(b, max_n)
 
 
-def _contiguity_gap(flags: list[bool]) -> tuple[int, int, int] | None:
-    """Indices (i, j, k) with flags[i] and flags[k] true, flags[j] false,
-    i < j < k; None when the true entries form one contiguous block."""
-    first = None
-    last = None
-    for idx, f in enumerate(flags):
-        if f:
-            if first is None:
-                first = idx
-            last = idx
-    if first is None:
-        return None
-    for j in range(first + 1, last):
-        if not flags[j]:
-            return (first, j, last)
-    return None
+def _gap(row: bytes, want: int) -> tuple[int, int, int] | None:
+    """Positions (i, j, k), i < j < k, of the first and last bytes of the
+    membership row equal to want and of the first byte between them that
+    is not; None when the want bytes form one contiguous block."""
+    first, last = row.find(want), row.rfind(want)
+    j = row.find(1 - want, first + 1, last) if first >= 0 else -1
+    return None if j < 0 else (first, j, last)
 
 
 def convexity_verdict(a: DSet, depth: int, mode: str = "convex") -> Verdict:
@@ -458,13 +448,9 @@ def convexity_verdict(a: DSet, depth: int, mode: str = "convex") -> Verdict:
     """
     if mode not in ("convex", "co-convex"):
         raise PreconditionError(f"mode must be 'convex' or 'co-convex', got {mode!r}")
+    want = 1 if mode == "convex" else 0
     for n in range(depth + 1):
-        words = list(iter_level(n))
-        flags = [a.member(u) for u in words]
-        if mode == "co-convex":
-            flags = [not f for f in flags]
-        gap = _contiguity_gap(flags)
+        gap = _gap(bytes(map(a.member, iter_level(n))), want)
         if gap is not None:
-            i, j, k = gap
-            return Verdict.no(witness=(words[i], words[j], words[k]))
+            return Verdict.no(witness=tuple(_word_at((1 << n) - 1 + i) for i in gap))
     return Verdict.yes(bound=depth)

@@ -94,6 +94,19 @@ def brute_is_convex(member: Member, depth: int) -> bool:
     return all(brute_is_convex_level(member, n) for n in range(depth + 1))
 
 
+def brute_convexity_gap(member: Member, depth: int) -> tuple | None:
+    """At the first level up to depth whose members are not one block in
+    lex order: its first member, the first non-member after that, and its
+    last member.  None when every level is one block."""
+    for n in range(depth + 1):
+        inside = brute_level_members(member, n)
+        holes = [u for u in words_at(n) if inside and inside[0] < u < inside[-1]
+                 and not member(u)]
+        if holes:
+            return inside[0], holes[0], inside[-1]
+    return None
+
+
 def brute_tree_infinite_to(member: Member, depth: int) -> bool:
     return all(any(member(u) for u in words_at(n)) for n in range(depth + 1))
 
@@ -140,6 +153,21 @@ def brute_tree_eval(f, u: tuple) -> int:
     while hasattr(f, "index"):
         f = f.high if f.index < len(u) and u[f.index] else f.low
     return f.value
+
+
+def brute_query_depth(f) -> int:
+    """1 + the largest index of a decision tree's nodes, by recursion over
+    every path; 0 for a leaf."""
+    if not hasattr(f, "index"):
+        return 0
+    return max(f.index + 1, brute_query_depth(f.low), brute_query_depth(f.high))
+
+
+def brute_largest_leaf(f) -> int:
+    """The largest leaf value of a decision tree, by recursion over every path."""
+    if not hasattr(f, "index"):
+        return f.value
+    return max(brute_largest_leaf(f.low), brute_largest_leaf(f.high))
 
 
 def brute_uc_bound(eval_word: Callable[[tuple], int], depth: int) -> int:

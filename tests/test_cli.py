@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,27 @@ def test_uc_bound_costs_the_tree_not_its_query_depth(tmp_path):
     assert "TRACE=fan[brute-force(maxN=64)]=64\n" in text
     code, text = run(["uc-bound", "--spec", spec, "--fn", "far", "--via-fan"])
     assert code == 2 and text.startswith("ERROR=BudgetExceededError: "), text
+
+
+def test_uc_bound_via_fan_keeps_shared_sub_functionals_shared(tmp_path, monkeypatch):
+    # h_i = node(i, h_{i-1}, h_{i-1}) has i + 1 distinct nodes and 2^i
+    # paths; a query depth or modulus built per path unfolds all of them
+    # before the budgeted fan search can refuse
+    lines = ["h0 = node(0, leaf(0), leaf(1))"] + [f"h{i} = node({i}, h{i - 1}, h{i - 1})"
+                                                  for i in range(1, 27)]
+    spec = write_spec(tmp_path, "\n".join(lines) + "\n")
+    monkeypatch.setenv("FANKIT_BUDGET", "4096")
+    code, text = run(["uc-bound", "--spec", spec, "--fn", "h8", "--via-fan"])
+    assert code == 0 and "BOUND=9\n" in text, text
+    assert verify_text(tmp_path, spec, text) == (0, "VERIFY=OK\n")
+    tracemalloc.start()
+    try:
+        refusal = run(["uc-bound", "--spec", spec, "--fn", "h26", "--via-fan"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refusal == (2, "ERROR=BudgetExceededError: scan visited 4097 nodes, budget 4096\n")
+    assert peak < 1 << 20
 
 
 def test_nesting_too_deep_is_a_resource_error(tmp_path):
@@ -346,13 +368,35 @@ def test_verify_rejects_mutated_level_listings(tmp_path):
     code, text = run(["complete-tree", "--spec", spec, "--tree", "rt", "--depth", "3"])
     assert code == 0 and verify_text(tmp_path, spec, text)[0] == 0
     extra = text.replace("WITNESS=3:000\n", "WITNESS=3:000\nWITNESS=4:0000\n")
-    assert_rejected(tmp_path, spec, extra, "level 4 lies outside 0..3")
+    assert_rejected(tmp_path, spec, extra,
+                    "WITNESS line 4: certificate says '4:0000', recomputation says None")
     repeated = text.replace("WITNESS=3:000\n", "WITNESS=3:000\nWITNESS=1:0\n")
-    assert_rejected(tmp_path, spec, repeated, "level 1 is listed twice")
+    assert_rejected(tmp_path, spec, repeated,
+                    "WITNESS line 4: certificate says '1:0', recomputation says None")
     dropped = text.replace("WITNESS=2:00\n", "")
-    assert_rejected(tmp_path, spec, dropped, "level 2: certificate says None")
+    assert_rejected(tmp_path, spec, dropped,
+                    "WITNESS line 2: certificate says '3:000', recomputation says '2:00'\n"
+                    "DIFF=WITNESS line 3: certificate says None, recomputation says '3:000'")
+    # a level number the producer never writes is a format error
+    for bad, exit_code in (("WITNESS=3", 1), ("WITNESS=three:000", 3), ("WITNESS=03:000", 3)):
+        out = verify_text(tmp_path, spec, text.replace("WITNESS=3:000", bad))
+        assert out[0] == exit_code, (bad, out)
     assert_rejected(tmp_path, spec, text.replace("VERDICT=YES", "VERDICT=BANANA"),
                     "verdict BANANA does not fit complete-tree")
+
+
+def test_verify_rejects_reordered_level_listings(tmp_path):
+    # the producer lists the levels in order; any other order is not its
+    # listing, although every level is right
+    spec = write_spec(tmp_path, BASIC_SPEC + "rt = tree(complement(closure(finite(0, 1))))\n")
+    code, text = run(["complete-tree", "--spec", spec, "--tree", "rt", "--depth", "3"])
+    lines = text.split("\n")
+    at = [k for k, line in enumerate(lines) if line.startswith("WITNESS=")]
+    for order in (at[::-1], at[1:] + at[:1]):
+        moved = list(lines)
+        for k, j in zip(at, order):
+            moved[k] = lines[j]
+        assert_rejected(tmp_path, spec, "\n".join(moved), "WITNESS line 0: certificate says")
 
 
 def test_verify_rejects_a_path_of_the_wrong_length(tmp_path):
@@ -553,7 +597,8 @@ def test_interior_is_metered(tmp_path, monkeypatch):
     spec = write_spec(tmp_path, "a = interior(complement(finite(111111111111111111)))\n")
     monkeypatch.setenv("FANKIT_BUDGET", "64")
     code, text = run(["bar-check", "--spec", spec, "--set", "a", "--depth", "4"])
-    assert code == 2 and text.startswith("ERROR=BudgetExceededError"), text
+    assert (code, text) == (2, "ERROR=BudgetExceededError: interior to stab 19 visited "
+                               "65 words, budget 64\n")
 
 
 def test_non_utf8_text_and_unreadable_digits_exit_3(tmp_path):

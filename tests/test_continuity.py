@@ -22,8 +22,8 @@ from fankit.continuity import least_escape
 from fankit.errors import CertificateError, FuelError, PreconditionError
 from fankit.specfile import SpecDoc
 
-from bruteforce import (all_words, brute_least_escape, brute_tree_eval, brute_uc_bound,
-                        words_at)
+from bruteforce import (all_words, brute_largest_leaf, brute_least_escape, brute_query_depth,
+                        brute_tree_eval, brute_uc_bound, words_at)
 from corpus import (random_bar_interior_set, random_functional, random_stabilized_bar,
                     table_member)
 
@@ -178,6 +178,62 @@ def test_bound_of():
     assert bound_of(Leaf(4)) == 4
     assert bound_of(Node(1, Leaf(2), Leaf(7))) == 7
     assert bound_of(Node(0, Leaf(0), Leaf(0))) == 0
+
+
+def test_query_depth_and_bound_of_match_a_brute_recursion():
+    rng = random.Random(67)
+    for _ in range(200):
+        f = random_functional(rng, max_index=rng.randrange(0, 7), leaf_values=9)
+        assert query_depth(f) == brute_query_depth(f)
+        assert bound_of(f) == brute_largest_leaf(f)
+
+
+def shared_chain(depth):
+    """h0 = node(0, leaf(0), leaf(1)), h_i = node(i, h_{i-1}, h_{i-1}): depth
+    distinct nodes and two leaves, 2^depth paths."""
+    h = Node(0, Leaf(0), Leaf(1))
+    for i in range(1, depth):
+        h = Node(i, h, h)
+    return h
+
+
+def distinct_nodes(f, seen=None):
+    seen = {} if seen is None else seen
+    if id(f) not in seen:
+        seen[id(f)] = f
+        if isinstance(f, Node):
+            distinct_nodes(f.low, seen)
+            distinct_nodes(f.high, seen)
+    return len(seen)
+
+
+def test_structural_walks_read_shared_nodes_once():
+    # recursion over every path did not finish on these
+    deep = shared_chain(3000)
+    assert (query_depth(deep), bound_of(deep)) == (3000, 1)
+    m = path_modulus(shared_chain(40))
+    # every path queries bits 39..0, so each node is reached with one
+    # largest index: 40 nodes, and leaves 40 for the chain's two leaves
+    assert distinct_nodes(m) == 42
+    assert (query_depth(m), bound_of(m), evaluate(m, ZERO), evaluate(m, ONE)) == (40, 40, 40, 40)
+
+
+def test_path_modulus_of_a_shared_tree_is_that_of_its_unfolding():
+    def unfold(f):
+        if isinstance(f, Leaf):
+            return Leaf(f.value)
+        return Node(f.index, unfold(f.low), unfold(f.high))
+
+    rng = random.Random(71)
+    for _ in range(60):
+        pool = [Leaf(rng.randrange(4)) for _ in range(3)]
+        for _ in range(rng.randrange(1, 12)):  # later nodes reuse earlier ones
+            pool.append(Node(rng.randrange(6), rng.choice(pool), rng.choice(pool)))
+        f = pool[-1]
+        m = path_modulus(f)
+        assert m == path_modulus(unfold(f))
+        assert (query_depth(f), bound_of(f)) == (brute_query_depth(f), brute_largest_leaf(f))
+        assert distinct_nodes(m) <= distinct_nodes(f) * (query_depth(f) + 1)
 
 
 def test_bar_from_pc_carrier_and_witness():

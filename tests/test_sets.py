@@ -15,8 +15,8 @@ from fankit.errors import BudgetExceededError, PreconditionError
 from fankit.sets import validate_claims
 from fankit.specfile import SpecError, parse_specdoc
 
-from bruteforce import (all_words, brute_claim_violation, brute_interior_member,
-                        brute_least_uniform_bound)
+from bruteforce import (all_words, brute_claim_violation, brute_convexity_gap,
+                        brute_interior_member, brute_least_uniform_bound)
 from corpus import random_dset
 from test_cli import random_set_text
 
@@ -203,6 +203,20 @@ def test_convexity_verdict_examples():
 
     c = len_ge(3)
     assert convexity_verdict(c, 5, "co-convex").is_yes
+
+
+def test_convexity_verdict_matches_bruteforce():
+    rng = random.Random(211)
+    found = Counter()
+    for _ in range(150):
+        a = random_dset(rng, rng.randrange(0, 6), density=rng.choice((0.1, 0.5, 0.9)))
+        depth = rng.randrange(0, 7)
+        for mode, member in (("convex", a.member), ("co-convex", lambda u: not a.member(u))):
+            v = convexity_verdict(a, depth, mode)
+            gap = brute_convexity_gap(member, depth)
+            found[gap is None] += 1
+            assert (v.is_yes, v.witness) == ((True, None) if gap is None else (False, gap))
+    assert min(found.values()) > 50  # both answers are common
 
 
 def test_closure_suite_on_random_sets():
