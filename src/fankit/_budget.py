@@ -1,74 +1,70 @@
-"""Enumeration budget shared by every exponential scan.
-
-The default allows 2**20 enumerated words per operation; the FANKIT_BUDGET
-environment variable overrides it.  Scans fail loudly instead of hanging.
+"""The word budget: FANKIT_BUDGET (default 2**20) bounds the words that
+one run visits, across all of its scans.  cli.run opens one Meter per run,
+and a library call outside a run gets a fresh one per operation.  Every
+scan charges it under its operation's name; a charge past the limit fails
+loudly instead of hanging, naming the operation, its level where it has
+one, the words used and the limit.
 """
 
 from __future__ import annotations
 
 import os
+from contextvars import ContextVar
 
 from .errors import BudgetExceededError
 
 DEFAULT_BUDGET = 1 << 20
 
-# How far below its root a pruned scan goes.  A walk down one path holds a
-# word of every length up to its depth, so its memory and time grow with
-# the square of the depth, which the visit count does not see; at 1024
-# bits that stays a few megabytes.
+# How far below its start a scan goes.  A walk down one path holds a word
+# of every length up to its depth, so its memory and time grow with the
+# square of the depth, which the word count does not see.
 MAX_SCAN_DEPTH = 1 << 10
 
 
-def enumeration_budget() -> int:
-    raw = os.environ.get("FANKIT_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise BudgetExceededError(f"FANKIT_BUDGET is not an integer: {raw!r}") from exc
-    if value <= 0:
-        raise BudgetExceededError(f"FANKIT_BUDGET must be positive, got {value}")
-    return value
+class Meter:
+    """Words charged so far, and the limit, read when the meter is made."""
+
+    __slots__ = ("used", "limit")
+
+    def __init__(self):
+        raw = os.environ.get("FANKIT_BUDGET", str(DEFAULT_BUDGET))
+        try:
+            self.limit = int(raw) if raw.isdecimal() else 0
+        except ValueError:  # more digits than int() converts
+            self.limit = 0
+        if self.limit <= 0:
+            raise BudgetExceededError(f"FANKIT_BUDGET must be a positive integer, got {raw!r:.40}")
+        self.used = 0
+
+    def tick(self, operation: str, level: int | None = None, n: int = 1) -> None:
+        """Charge n words to the operation, at a level where it has one."""
+        self.used += n
+        if self.used > self.limit:
+            self._refuse(operation, level, self.used)
+
+    def tick_exp(self, exp: int, operation: str, level: int | None = None) -> None:
+        """tick for 2^exp words.  Past 64 bits and the limit's bit length it is
+        refused by its exponent, so a depth given by the user builds no 2^exp."""
+        if exp > max(64, self.limit.bit_length()):
+            self._refuse(operation, level, f"{self.used} + 2^{exp}")
+        self.tick(operation, level, 1 << exp)
+
+    def _refuse(self, operation: str, level: int | None, used) -> None:
+        where = "" if level is None else f" at level {level}"
+        raise BudgetExceededError(f"{operation}{where}: {used} words used, budget {self.limit}")
 
 
-def check_enumeration(count: int, operation: str | None = None) -> None:
-    """Fail if a scan of `count` words would exceed the budget; the error
-    names the operation when one is given."""
-    budget = enumeration_budget()
-    if count > budget:
-        _refuse(str(count), operation, budget)
+RUN_METER: ContextVar[Meter | None] = ContextVar("fankit_run_meter", default=None)
 
 
-def check_enumeration_exp(exp: int, operation: str | None = None) -> None:
-    """check_enumeration for a scan of 2^exp words.  The count is compared
-    by its exponent and named as a power, so a depth given by the user
-    never builds a huge integer: 2^exp exceeds the budget exactly when exp
-    reaches the budget's bit length."""
-    budget = enumeration_budget()
-    if exp >= budget.bit_length():
-        _refuse(f"2^{exp}", operation, budget)
+def meter() -> Meter:
+    """The meter of the run in progress; outside a run, a fresh one."""
+    return RUN_METER.get() or Meter()
 
 
-def _refuse(count: str, operation: str | None, budget: int) -> None:
-    if operation is None:
-        raise BudgetExceededError(f"scan of {count} words exceeds budget {budget}")
-    raise BudgetExceededError(f"{operation} needs {count} words, budget {budget}")
-
-
-class ScanMeter:
-    """Counts visited nodes in a pruned search against the budget.  A meter
-    given an operation names it, and counts words, in its refusal."""
-
-    __slots__ = ("visits", "limit", "operation")
-
-    def __init__(self, limit: int | None = None, operation: str | None = None):
-        self.visits = 0
-        self.limit = limit if limit is not None else enumeration_budget()
-        self.operation = operation
-
-    def tick(self, n: int = 1) -> None:
-        self.visits += n
-        if self.visits > self.limit:
-            what, unit = ("scan", "nodes") if self.operation is None else (self.operation, "words")
-            raise BudgetExceededError(f"{what} visited {self.visits} {unit}, budget {self.limit}")
+def check_depth(bits: int, operation: str) -> None:
+    """Refuse a scan that needs words more than MAX_SCAN_DEPTH bits below
+    the word it starts from."""
+    if bits > MAX_SCAN_DEPTH:
+        raise BudgetExceededError(
+            f"{operation} would go {bits} bits deep, past the cap of {MAX_SCAN_DEPTH}")

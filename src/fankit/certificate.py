@@ -22,13 +22,13 @@ from itertools import zip_longest
 from typing import Callable
 
 from . import __version__
-from ._budget import ScanMeter
+from ._budget import check_depth, meter
 from ._record import Record
 from .continuity import Functional, Leaf, Node, eval_word, is_constant, least_escape
 from .errors import BudgetExceededError, FankitError
-from .sets import DSet, Outcome, avoid_height, bar_verdict, uniform_bound
+from .sets import DSet, Outcome, avoid_height, bar_verdict, descend, uniform_bound
 from .specfile import SpecDoc
-from .trees import Tree, complete, tree_levels
+from .trees import Tree, complete
 from .words import Word, format_word, parse_word
 
 HEADER = "FANKIT-CERT"
@@ -191,10 +191,15 @@ def check_uniform_bound(cert: Certificate, doc: SpecDoc, name: str, limit: int):
 
 
 def level_listing(t: Tree, depth: int) -> list[str]:
-    """The WITNESS= values of complete-tree: for each level k of t's
-    completion up to depth, "k:" and its members in lex order."""
-    return [f"{k}:{' '.join(map(format_word, members))}"
-            for k, members in enumerate(tree_levels(complete(t), depth))]
+    """The WITNESS= values of complete-tree: for each level k of t's completion
+    up to depth, "k:" and its members in lex order.  Each word is held as
+    text and charged by its length, so the budget bounds the listing's bits."""
+    check_depth(depth, "level listing")
+    tick, levels = meter().tick, [[] for _ in range(depth + 1)]
+    for u in descend(complete(t).member, depth):
+        tick("level listing", len(u), len(u))
+        levels[len(u)].append(format_word(u))
+    return [f"{k}:{' '.join(members)}" for k, members in enumerate(levels)]
 
 
 def check_complete_tree(cert: Certificate, doc: SpecDoc, name: str, depth: int):
@@ -210,6 +215,7 @@ def check_complete_tree(cert: Certificate, doc: SpecDoc, name: str, depth: int):
 
 
 def check_find_path(cert: Certificate, doc: SpecDoc, name: str, bits: int, horizon: int):
+    check_depth(bits, "find-path")
     t = doc.get_tree(name)
     path = _word(cert.single("PATH"), "PATH")
     if len(path) != bits:
@@ -230,7 +236,7 @@ class _Split(Exception):
     """Two leaves with different values below one word (their bits below n)."""
 
 
-def _level_split(f: Functional, n: int, meter: ScanMeter) -> Word | None:
+def _level_split(f: Functional, n: int) -> Word | None:
     """A level-n word below which f takes two values; None when f is
     constant below every level-n word.
 
@@ -242,12 +248,13 @@ def _level_split(f: Functional, n: int, meter: ScanMeter) -> Word | None:
     cut down to (bits below n, value) and merged when equal, and compares
     them pair by pair.  Each node and each pair is charged to the meter.
     """
+    tick = meter().tick
     assign: dict[int, int] = {}
 
     def walk(node: Functional, keep: bool) -> set | None:
         while isinstance(node, Node) and node.index in assign:
             node = node.high if assign[node.index] else node.low
-        meter.tick()
+        tick("split walk", n)
         if isinstance(node, Leaf):
             if not keep:
                 return None
@@ -262,7 +269,7 @@ def _level_split(f: Functional, n: int, meter: ScanMeter) -> Word | None:
         if i >= n:
             for low_bits, low_value in low:
                 for high_bits, high_value in high:
-                    meter.tick()
+                    tick("split walk", n)
                     if low_value != high_value and \
                             not any((k, 1 - b) in low_bits for k, b in high_bits):
                         raise _Split(low_bits | high_bits)
@@ -286,11 +293,10 @@ def check_uc_bound(cert: Certificate, doc: SpecDoc, name: str, via_fan: bool):
     also be the least such level, as its producer finds it."""
     f = doc.get_functional(name)
     n = _count(cert.single("BOUND"), "BOUND")
-    meter = ScanMeter()
-    u = _level_split(f, n, meter)
+    u = _level_split(f, n)
     if u is not None:
         return False, [f"residual below {format_word(u)} is not constant at level {n}"]
-    if not via_fan and n > 0 and _level_split(f, n - 1, meter) is None:
+    if not via_fan and n > 0 and _level_split(f, n - 1) is None:
         return False, [f"bound {n} is not the least: every residual at level {n - 1} "
                        "is already constant"]
     return True, []

@@ -11,7 +11,9 @@ import argparse
 import functools
 import sys
 from collections import namedtuple
+from contextvars import copy_context
 
+from ._budget import RUN_METER, Meter, check_depth
 from .certificate import (Certificate, CertificateFormatError, _count, check_bar_check,
                           check_coconvex_bound, check_complete_tree, check_deco,
                           check_defu, check_find_path, check_uc_bound,
@@ -92,6 +94,7 @@ def _do_complete_tree(doc, name, depth):
 
 
 def _do_find_path(doc, name, bits, horizon):
+    check_depth(bits, "find-path")
     gen = wkl_from_llpo(doc.get_tree(name), llpo_bounded_oracle(horizon), fuel=max(64, bits))
     path = gen.take(bits)
     return "YES", [("PATH", format_word(path))], ";".join(gen.trace)
@@ -245,6 +248,10 @@ def _parser() -> _Parser:
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Execute one command line; returns (exit code, certificate text)."""
+    return copy_context().run(_run, argv)  # the meter _run sets ends with the run
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
     try:
         args = _parser().parse_args(argv)
     except UsageError as exc:
@@ -252,6 +259,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     except _Help as help_text:
         return EXIT_YES, str(help_text)
     try:
+        RUN_METER.set(Meter())  # every scan of the run charges this one meter
         doc = load_specdoc(args.spec)
     except (SpecError, OSError) as exc:
         return EXIT_USAGE, f"ERROR=spec: {exc}\n"

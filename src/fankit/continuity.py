@@ -9,10 +9,11 @@ be replayed and reconstructed.
 
 from __future__ import annotations
 
+from itertools import product
 from operator import and_
 from typing import Callable, Iterator, Union
 
-from ._budget import ScanMeter, check_enumeration_exp
+from ._budget import meter
 from ._record import FrozenRecord, _set
 from .errors import CertificateError, FuelError, OutOfRangeError, PreconditionError
 from .fan import Bar, FanOracle, minimal_witness
@@ -134,23 +135,6 @@ def residual(f: Functional, u: Word) -> Functional:
     return Node(f.index - len(u), residual(f.low, u), residual(f.high, u))
 
 
-def _leaf_paths(f: Functional, assign: dict[int, int], meter: ScanMeter):
-    """Feasible root-to-leaf paths: a repeated query follows the bit the
-    path already fixed, so phantom leaves are never enumerated.  Each
-    node passed is charged to the meter."""
-    meter.tick()
-    if isinstance(f, Leaf):
-        yield dict(assign), f.value
-        return
-    if f.index in assign:
-        yield from _leaf_paths(f.high if assign[f.index] else f.low, assign, meter)
-        return
-    for b, branch in ((0, f.low), (1, f.high)):
-        assign[f.index] = b
-        yield from _leaf_paths(branch, assign, meter)
-        del assign[f.index]
-
-
 def _pad_assignment(assign: dict[int, int]) -> Seq:
     width = max(assign) + 1 if assign else 0
     return Seq.eventually_constant(tuple(assign.get(i, 0) for i in range(width)), 0)
@@ -170,13 +154,30 @@ class ConstancyVerdict(FrozenRecord):
 
 def is_constant(f: Functional) -> ConstancyVerdict:
     """Constant with its value, or two zero-padded witness sequences with
-    distinct values; witnesses are the leftmost disagreeing leaf pair."""
-    paths = _leaf_paths(f, {}, ScanMeter())
-    first_assign, first_value = next(paths)
-    for assign, value in paths:
+    distinct values; witnesses are the leftmost disagreeing leaf pair.
+    One walk of the feasible root-to-leaf paths: a repeated query follows
+    the bit the path already fixed, so phantom leaves are never met.  Each
+    node passed is charged to the meter."""
+    tick = meter().tick
+    assign: dict[int, int] = {}
+
+    def paths(node: Functional):
+        tick("constancy walk")
+        if isinstance(node, Leaf):
+            yield dict(assign), node.value
+        elif node.index in assign:
+            yield from paths(node.high if assign[node.index] else node.low)
+        else:
+            for b, branch in ((0, node.low), (1, node.high)):
+                assign[node.index] = b
+                yield from paths(branch)
+                del assign[node.index]
+
+    walk = paths(f)
+    first_bits, first_value = next(walk)
+    for bits, value in walk:
         if value != first_value:
-            return ConstancyVerdict(
-                witnesses=(_pad_assignment(first_assign), _pad_assignment(assign)))
+            return ConstancyVerdict(witnesses=(_pad_assignment(first_bits), _pad_assignment(bits)))
     return ConstancyVerdict(value=first_value)
 
 
@@ -187,17 +188,21 @@ def pointwise_modulus(f: AnyFunctional, alpha: Seq) -> int:
     return max((i for i, _ in log), default=-1) + 1
 
 
-def _flip_witness(f: Functional, i: int, meter: ScanMeter) -> dict[int, int] | None:
-    """Bits for the indices other than i under which flipping bit i changes
-    the value of f; None when f does not depend on bit i.
+def _last_dependence(f: Functional, floor: int) -> tuple[int, dict[int, int]] | None:
+    """The largest index i >= floor whose bit f depends on, with bits for
+    the other indices under which flipping bit i changes the value; None
+    when f depends on no bit at or above floor.
 
-    One product walk of f against itself, the left copy reading bit i as 0
-    and the right copy as 1.  Both copies follow the bits fixed so far; a
-    query neither has answered fixes its index to 0 and then to 1.  While
-    the copies agree this walks f once; below an index-i node it pairs the
-    feasible paths of its two branches.  Each step is charged to the meter.
-    """
-    assign: dict[int, int] = {}
+    f is constant on every level-n cylinder exactly when it depends on no
+    bit at or above n: two sequences that agree below n differ in finitely
+    many of the bits f reads, and those can be flipped one at a time.
+    Bit i is tested by one charged product walk of f against itself, the
+    left copy reading bit i as 0 and the right copy as 1.  Both follow the
+    bits fixed so far; a query neither has answered fixes its index to 0
+    and then to 1.  While the copies agree this walks f once; below an
+    index-i node it pairs the feasible paths of its two branches."""
+    tick = meter().tick
+    assign: dict[int, int] = {}  # the bits fixed so far; empty after a walk that fails
 
     def settle(node: Functional, bit: int) -> Functional:
         while isinstance(node, Node):
@@ -208,7 +213,7 @@ def _flip_witness(f: Functional, i: int, meter: ScanMeter) -> dict[int, int] | N
         return node
 
     def differ(left: Functional, right: Functional) -> bool:
-        meter.tick()
+        tick(operation)
         left, right = settle(left, 0), settle(right, 1)
         fresh = left if isinstance(left, Node) else right
         if isinstance(fresh, Leaf):
@@ -220,26 +225,13 @@ def _flip_witness(f: Functional, i: int, meter: ScanMeter) -> dict[int, int] | N
         del assign[fresh.index]
         return False
 
-    return assign if differ(f, f) else None
-
-
-def _last_dependence(f: Functional, floor: int) -> tuple[int, dict[int, int]] | None:
-    """The largest index i >= floor whose bit f depends on, with bits for
-    the other indices under which flipping bit i changes the value; None
-    when f depends on no bit at or above floor.
-
-    f is constant on every level-n cylinder exactly when it depends on no
-    bit at or above n: two sequences that agree below n differ in finitely
-    many of the bits f reads, and those can be flipped one at a time.
-    """
     indices = {node.index for node in _nodes(f) if isinstance(node, Node)}
-    meter = ScanMeter()
     for i in sorted(indices, reverse=True):
         if i < floor:
             break
-        bits = _flip_witness(f, i, meter)
-        if bits is not None:
-            return i, bits
+        operation = f"dependence walk of bit {i}"
+        if differ(f, f):
+            return i, assign
     return None
 
 
@@ -442,13 +434,15 @@ class DefuVerdict(FrozenRecord):
 def _membership_table(d: DSet, s: int) -> bytearray:
     """d's membership of every word up to length s, one byte per word, in
     the level-order layout of sets.validate_claims.  Each word is asked
-    once, a level at a time; level order is shortlex order.  The
-    membership function is called directly, as DSet.member would add a
-    Python call to each word."""
-    check_enumeration_exp(s + 1, f"defu escape scan to depth {s}")
+    once, a level at a time; level order is shortlex order.  Every level
+    is charged before the first is asked.  The membership function is
+    called directly, as DSet.member would add a Python call to each word."""
+    m, operation = meter(), f"defu escape scan to depth {s}"
+    for n in range(s + 1):
+        m.tick_exp(n, operation, n)
     table = bytearray()
     for n in range(s + 1):
-        table += bytes(map(bool, map(d.member_fn, iter_level(n))))
+        table += bytes(map(bool, map(d.member_fn, product((0, 1), repeat=n))))
     return table
 
 

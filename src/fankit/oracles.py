@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable
 
-from ._budget import check_enumeration
+from ._budget import meter
 from ._record import FrozenRecord, _set
 from .errors import CertificateError, PreconditionError
 from .sets import DSet
@@ -43,7 +43,9 @@ class WKLOracle(FrozenRecord):
 
 def _single_one(alpha: Seq, horizon: int) -> int | None:
     """The index of the 1 among alpha's indices 0..horizon, None when there
-    is none; a second 1 breaks every LLPO instance's precondition."""
+    is none; a second 1 breaks every LLPO instance's precondition.  The
+    horizon + 1 indices are charged before any is read."""
+    meter().tick(f"LLPO search to horizon {horizon}", n=horizon + 1)
     hit = None
     for i in range(horizon + 1):
         if alpha.at(i) == 1:
@@ -68,9 +70,7 @@ def llpo_bounded(alpha: Seq, horizon: int) -> Parity:
 
 
 def llpo_bounded_oracle(horizon: int) -> LLPOOracle:
-    """The bounded-search oracle.  Its horizon + 1 indices are charged to
-    the budget once, here, since every answer scans all of them."""
-    check_enumeration(horizon + 1, f"LLPO search to horizon {horizon}")
+    """The bounded-search oracle: each answer scans indices 0..horizon."""
     return LLPOOracle(lambda alpha: llpo_bounded(alpha, horizon),
                       tag=f"bounded(h={horizon})")
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
-from ._budget import MAX_SCAN_DEPTH, ScanMeter, check_enumeration
+from ._budget import check_depth, meter
 from ._record import FrozenRecord, _set
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError
 from .words import EMPTY, Seq, Word, format_word, iter_level
 
 DEFAULT_HORIZON = 8
@@ -65,14 +65,15 @@ def validate_claims(ds: DSet, horizon: int = DEFAULT_HORIZON,
     """
     key = (ds.member_fn, horizon)
     inside = None if tables is None else tables.get(key)
-    if inside is None:
-        check_enumeration(1 << (horizon + 1), f"claim validation to horizon {horizon}")
     if ds.stab is not None and ds.stab < 0:
         raise PreconditionError(f"stab must be nonnegative, got {ds.stab}")
     if not (ds.stab is not None or ds.extension_closed or ds.restriction_closed
             or ds.convex or ds.co_convex):
         return
     if inside is None:
+        m, operation = meter(), f"claim validation to horizon {horizon}"
+        for n in range(horizon + 1):
+            m.tick_exp(n, operation, n)
         inside = bytearray((2 << horizon) - 1)
         stack = [(EMPTY, 0)]
         while stack:
@@ -261,21 +262,21 @@ def interior(a: DSet) -> DSet:
 
     Decidable only with a declared stabilization depth: the recursion
     u in A* iff u in A and both children in A* bottoms out there.  Each
-    word the memo learns is charged to one ScanMeter held by the set, so
-    the memo never holds more words than the budget.
+    word the memo learns is charged once, to the meter the set was made
+    under, so the memo never holds more words than the budget.
     """
     if a.stab is None:
         raise PreconditionError("interior needs a declared stabilization depth")
     s = a.stab
     memo: dict[Word, bool] = {}
-    meter = ScanMeter(operation=f"interior to stab {s}")
+    tick, operation = meter().tick, f"interior to stab {s}"
 
     def mem(u: Word) -> bool:
         if len(u) >= s:
             return a.member(u)
         got = memo.get(u)
         if got is None:
-            meter.tick()
+            tick(operation, len(u))
             got = a.member(u) and mem(u + (0,)) and mem(u + (1,))
             memo[u] = got
         return got
@@ -343,26 +344,27 @@ def descend(keep: MemberFn, depth: int, root: Word = EMPTY) -> Iterator[Word]:
     extend root and whose prefixes from root on (the word itself
     included) all satisfy keep.
 
-    Only kept words are expanded, and every keep test is charged to one
-    ScanMeter, so the budget counts words visited: a thin tree costs its
-    width, a full level n about 2^(n+1).  A walk that would need words
-    more than MAX_SCAN_DEPTH bits below root fails like one over budget.
+    Only kept words are expanded, and every keep test is charged to the
+    meter, so the budget counts words visited: a thin tree costs its
+    width, a full level n about 2^(n+1).  A walk that would go past the
+    depth cap below root fails like one over budget, when it gets there.
     Words of one length come out in lexicographic order; a caller that
     has its answer stops the walk by leaving the loop.
     """
-    meter = ScanMeter()
-    cap = len(root) + MAX_SCAN_DEPTH
+    tick = meter().tick
+    deepest = len(root) - 1  # the longest word expanded so far
     stack = [root]
     while stack:
         u = stack.pop()
-        meter.tick()
+        k = len(u)
+        tick("descent", k)
         if not keep(u):
             continue
         yield u
-        if len(u) < depth:
-            if len(u) == cap:
-                raise BudgetExceededError(
-                    f"scan needs words more than {MAX_SCAN_DEPTH} bits below its root")
+        if k < depth:
+            if k > deepest:
+                check_depth(k + 1 - len(root), "descent")
+                deepest = k
             stack.append(u + (1,))
             stack.append(u + (0,))
 

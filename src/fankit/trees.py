@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from ._budget import MAX_SCAN_DEPTH
+from ._budget import check_depth
 from ._record import FrozenRecord, _set
-from .errors import (BudgetExceededError, CertificateError, FuelError,
-                     InconsistencyError, PreconditionError, WitnessError)
+from .errors import (CertificateError, FuelError, InconsistencyError, PreconditionError,
+                     WitnessError)
 from .sets import DEFAULT_HORIZON, DSet, Verdict, descend, descent_height, validate_claims
 from .words import EMPTY, Seq, Word, format_word, restrict
 
@@ -54,18 +54,13 @@ def tree_levels(t: Tree, depth: int) -> list[list[Word]]:
     """Members of levels 0..depth, each in lex order, from one descent
     through members only.
 
-    A listing deeper than MAX_SCAN_DEPTH is refused before any level is
-    built, like a descent that would need words that long.
+    A listing past the depth cap is refused before any level is built,
+    like a descent that would need words that long.
     """
-    if depth > MAX_SCAN_DEPTH:
-        raise BudgetExceededError(
-            f"listing levels 0..{depth} needs words longer than {MAX_SCAN_DEPTH} bits")
-    levels: list[list[Word]] = [[]]
+    check_depth(depth, "level listing")
+    levels: list[list[Word]] = [[] for _ in range(depth + 1)]
     for u in descend(t.member, depth):
-        if len(u) == len(levels):
-            levels.append([])
         levels[len(u)].append(u)
-    levels.extend([] for _ in range(depth + 1 - len(levels)))
     return levels
 
 
@@ -148,14 +143,13 @@ def survival(t: Tree, u: Word) -> Callable[[int], bool]:
     u, resumed only as far as the deepest depth asked so far.  Up to its
     first word at relative depth d, that walk visits exactly the words a
     fresh walk cut at d visits, so asking every depth 0..K costs the
-    visits of one has_descendant(t, u, K), all charged to the walk's one
-    ScanMeter.  A member at or past the stabilization depth owns a full
-    cone and answers every depth; an exhausted walk answers every depth
-    past the deepest member it met.  An error from the walk ends it: ask
-    a fresh survival after one.
+    visits of one has_descendant(t, u, K).  A member at or past the
+    stabilization depth owns a full cone and answers every depth; an
+    exhausted walk answers every depth past the deepest member it met.
+    An error from the walk ends it: ask a fresh survival after one.
     """
     s = t.stab
-    walk = descend(t.member, len(u) + MAX_SCAN_DEPTH + 1, root=u)
+    walk = descend(t.member, math.inf, root=u)
     top = -1  # deepest relative depth with a member found so far
 
     def alive(d: int) -> bool:

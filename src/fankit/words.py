@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Union
 
-from ._budget import check_enumeration_exp
+from ._budget import meter
 from .errors import OutOfRangeError
 
 Word = tuple
@@ -159,8 +159,8 @@ def lex_less(u: Word, v: Word) -> bool:
 
 
 def iter_level(n: int) -> Iterator[Word]:
-    """All words of length n in lexicographic order, lazily."""
-    check_enumeration_exp(n)
+    """All words of length n in lexicographic order, lazily, charged up front."""
+    meter().tick_exp(n, "level enumeration", n)
     return itertools.product((0, 1), repeat=n)
 
 

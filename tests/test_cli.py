@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -170,7 +171,8 @@ def test_uc_bound_via_fan_keeps_shared_sub_functionals_shared(tmp_path, monkeypa
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert refusal == (2, "ERROR=BudgetExceededError: scan visited 4097 nodes, budget 4096\n")
+    assert refusal == (2, "ERROR=BudgetExceededError: descent at level 24: 4097 words used, "
+                          "budget 4096\n")
     assert peak < 1 << 20
 
 
@@ -208,10 +210,10 @@ def test_uc_bound_is_metered_by_the_walk(tmp_path, monkeypatch):
     monkeypatch.setenv("FANKIT_BUDGET", "64")
     assert run(["uc-bound", "--spec", spec, "--fn", "c11"]) == (0, certs["c11"])
     assert run(["deco", "--spec", spec, "--fn", "c11"])[0] == 0
-    refusals = [run(["uc-bound", "--spec", spec, "--fn", "rev"]),
-                verify_text(tmp_path, spec, certs["c11"])]  # walks all 2047 nodes
-    for code, out in refusals:
-        assert code == 2 and out.startswith("ERROR=BudgetExceededError: scan visited"), out
+    assert run(["uc-bound", "--spec", spec, "--fn", "rev"]) == (
+        2, "ERROR=BudgetExceededError: dependence walk of bit 10: 65 words used, budget 64\n")
+    assert verify_text(tmp_path, spec, certs["c11"]) == (  # walks all 2047 nodes
+        2, "ERROR=BudgetExceededError: split walk at level 11: 65 words used, budget 64\n")
 
 
 def test_run_complete_tree(tmp_path):
@@ -509,22 +511,113 @@ def test_deep_llpo_horizons_are_metered_by_visits(tmp_path):
 
 
 def test_llpo_horizons_beyond_the_budget_are_refused_up_front(tmp_path, monkeypatch):
-    # every answer of the bounded oracle scans indices 0..H, so H + 1 is
-    # charged once, when the oracle is built, before any search
+    # every answer of the bounded oracle scans indices 0..H, and its H + 1
+    # words are charged to the run before it reads any of them
     spec = write_spec(tmp_path, "t = tree(complement(bit(0,1)))\n"
                                 "a = stab(union(bit(1,1), len_ge(3)), 3)\n")
     monkeypatch.setenv("FANKIT_BUDGET", "64")
     argv = ["find-path", "--spec", spec, "--tree", "t", "--bits", "4"]
-    assert run(argv + ["--oracle", "llpo:63"])[0] == 0
     assert run(argv + ["--oracle", "llpo:64"]) == (
-        2, "ERROR=BudgetExceededError: LLPO search to horizon 64 needs 65 words, budget 64\n")
-    # unchecked, these two ran until stopped
+        2, "ERROR=BudgetExceededError: LLPO search to horizon 64: 65 words used, budget 64\n")
+    # four bits are four scans of 64 indices, and 8 words of survival walks
+    for budget, expected in (("64", 2), ("263", 2), ("264", 0)):
+        monkeypatch.setenv("FANKIT_BUDGET", budget)
+        assert run(argv + ["--oracle", "llpo:63"])[0] == expected, budget
+    # unchecked, these two ran until stopped; the defu table to stab 3
+    # is 15 words
     monkeypatch.delenv("FANKIT_BUDGET")
-    for argv in (["find-path", "--tree", "t", "--bits", "10", "--oracle", "llpo:99999999999"],
-                 ["defu", "--set", "a", "--oracle", "llpo:99999999999"]):
+    for argv, used in (
+            (["find-path", "--tree", "t", "--bits", "10", "--oracle", "llpo:99999999999"], 0),
+            (["defu", "--set", "a", "--oracle", "llpo:99999999999"], 15)):
         code, text = run(argv[:1] + ["--spec", spec] + argv[1:])
         assert (code, text) == (2, "ERROR=BudgetExceededError: LLPO search to horizon "
-                                   "99999999999 needs 100000000000 words, budget 1048576\n")
+                                   f"99999999999: {100000000000 + used} words used, "
+                                   "budget 1048576\n")
+
+
+def test_find_path_bits_are_capped_and_every_scan_is_charged(tmp_path, monkeypatch):
+    spec = write_spec(tmp_path, "t = tree(complement(bit(0,1)))\n")
+    argv = ["find-path", "--spec", spec, "--tree", "t", "--bits"]
+    # each bit is one LLPO scan of 17 indices and its survival walks; this
+    # once answered with a 0.5 MB certificate, every scan within the budget
+    monkeypatch.setenv("FANKIT_BUDGET", "64")
+    assert run(argv + ["1000"]) == (
+        2, "ERROR=BudgetExceededError: LLPO search to horizon 16: 74 words used, budget 64\n")
+    # past the depth cap, a path is refused before its first bit, and so is
+    # its re-check; 100000000 bits once ran until stopped
+    monkeypatch.delenv("FANKIT_BUDGET")
+    for bits in (1025, 100000000):
+        refusal = (2, f"ERROR=BudgetExceededError: find-path would go {bits} bits deep, "
+                      "past the cap of 1024\n")
+        assert run(argv + [str(bits)]) == refusal
+        cert = Certificate(f"find-path --tree t --bits {bits} --oracle llpo:16", "YES",
+                           [("PATH", "0")])
+        assert verify_text(tmp_path, spec, cert.render()) == refusal
+    code, text = run(argv + ["1024"])
+    assert code == 0 and f"PATH={'0' * 1024}\n" in text
+    assert verify_text(tmp_path, spec, text) == (0, "VERIFY=OK\n")
+
+
+def test_a_level_listing_is_charged_by_its_bits(tmp_path, monkeypatch):
+    # the descent goes down the zero ray first, so every listed word is
+    # about 1024 bits long; charged one word each, such words took about
+    # 8 KB each before the budget stopped the listing
+    spec = write_spec(tmp_path, "zt = tree(complement(closure(finite(1))))\n")
+    monkeypatch.setenv("FANKIT_BUDGET", "262144")
+    tracemalloc.start()
+    try:
+        refusal = run(["complete-tree", "--spec", spec, "--tree", "zt", "--depth", "1024"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refusal == (2, "ERROR=BudgetExceededError: level listing at level 723: "
+                          "262453 words used, budget 262144\n")
+    assert peak < 8 << 20
+
+
+# What a run may say when its budget runs out: the operation, its level
+# where it has one, the words used and the limit, on one line.
+OPERATIONS = ("descent", "level enumeration", "claim validation to horizon",
+              "defu escape scan to depth", "interior to stab", "LLPO search to horizon",
+              "constancy walk", "dependence walk of bit", "split walk", "level listing")
+REFUSAL = re.compile("ERROR=BudgetExceededError: (?:{})[^:\n]*: [0-9]+ words used, "
+                     "budget [0-9]+\n".format("|".join(map(re.escape, OPERATIONS))))
+SMALL_BUDGETS = (1, 4, 16, 64, 256, 1024)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bar-check", "--set", "len2", "--depth", "6"],
+    ["uniform-bound", "--set", "ones", "--max", "6"],
+    ["complete-tree", "--tree", "t", "--depth", "6"],
+    ["find-path", "--tree", "t", "--bits", "6", "--oracle", "llpo:8"],
+    ["coconvex-bound", "--bar", "cb"],
+    ["uc-bound", "--fn", "f"],
+    ["uc-bound", "--fn", "f", "--via-fan"],
+    ["deco", "--fn", "f"],
+    ["defu", "--set", "d", "--oracle", "llpo:8"],
+    ["defu", "--set", "full", "--oracle", "llpo:8"],
+], ids=" ".join)
+def test_every_command_answers_or_names_the_scan_that_ran_out(tmp_path, monkeypatch, argv):
+    spec = write_spec(tmp_path, "len2 = len_ge(2)\nones = count_ones_ge(1)\n"
+                                "t = tree(complement(closure(finite(11))))\n"
+                                "cb = bar(len_ge(3), const(3))\n"
+                                "g = node(0, leaf(0), leaf(1))\n"
+                                "f = node(3, g, node(5, leaf(1), leaf(1)))\n"
+                                "d = union(bit(1,1), len_ge(3))\nfull = stab(len_ge(0), 4)\n")
+    argv = argv[:1] + ["--spec", spec] + argv[1:]
+    answer = run(argv)
+    assert answer[1].startswith("FANKIT-CERT\n"), answer
+    refused = []
+    for budget in SMALL_BUDGETS:
+        monkeypatch.setenv("FANKIT_BUDGET", str(budget))
+        for got, ok in ((run(argv), answer),
+                        (verify_text(tmp_path, spec, answer[1]), (0, "VERIFY=OK\n"))):
+            if got != ok:
+                assert got[0] == 2 and REFUSAL.fullmatch(got[1]), got
+                refused.append(budget)
+    assert refused and refused[0] == 1
+    monkeypatch.delenv("FANKIT_BUDGET")
+    assert verify_text(tmp_path, spec, answer[1]) == (0, "VERIFY=OK\n")
 
 
 def test_deep_scans_and_small_budgets_fail_cleanly(tmp_path, monkeypatch):
@@ -551,24 +644,36 @@ def test_deep_scans_and_small_budgets_fail_cleanly(tmp_path, monkeypatch):
     monkeypatch.setenv("FANKIT_BUDGET", "256")
     code, text = run(["complete-tree", "--spec", spec, "--tree", "t", "--depth", "4"])
     assert code == 2 and text.startswith("ERROR=BudgetExceededError"), text
-    assert "claim validation to horizon 8 needs 512 words, budget 256" in text, text
+    assert text == ("ERROR=BudgetExceededError: claim validation to horizon 8 at level 8: "
+                    "511 words used, budget 256\n")
 
 
 def test_defu_not_exists_is_rechecked_within_the_producers_budget(tmp_path, monkeypatch):
-    # the producer scans levels 0..9 under one charge of 2^10 words; the
-    # re-check charges the same, so it refuses exactly where the producer does
+    # both runs charge the claim validation (511 words) and the table of
+    # levels 0..9 (1023 words); only the producer searches a path, so the
+    # re-check succeeds under every budget under which the producer does
     spec = write_spec(tmp_path, "full = stab(len_ge(0), 9)\n")
     code, text = run(["defu", "--spec", spec, "--set", "full"])
     assert code == 0 and "VERDICT=NOT_EXISTS" in text
-    for budget, expected in (("1023", 2), ("1024", 0)):
-        monkeypatch.setenv("FANKIT_BUDGET", budget)
-        refusal = ("ERROR=BudgetExceededError: defu escape scan to depth 9 needs 2^10 words, "
-                   f"budget {budget}\n")
-        code, out = run(["defu", "--spec", spec, "--set", "full"])
-        assert code == expected and (expected == 0 or out == refusal), out
-        code, out = verify_text(tmp_path, spec, text)
-        assert code == expected, out
-        assert out == ("VERIFY=OK\n" if expected == 0 else refusal)
+
+    def least_budget(check):
+        low, high = 1, 1 << 20  # check() passes at high and not below the answer
+        while low < high:
+            middle = (low + high) // 2
+            monkeypatch.setenv("FANKIT_BUDGET", str(middle))
+            low, high = (low, middle) if check() else (middle + 1, high)
+        return low
+
+    produce = least_budget(lambda: run(["defu", "--spec", spec, "--set", "full"]) == (0, text))
+    recheck = least_budget(lambda: verify_text(tmp_path, spec, text) == (0, "VERIFY=OK\n"))
+    assert recheck == 511 + 1023 < produce
+    for budget in range(recheck, produce + 2):
+        monkeypatch.setenv("FANKIT_BUDGET", str(budget))
+        assert verify_text(tmp_path, spec, text) == (0, "VERIFY=OK\n"), budget
+    monkeypatch.setenv("FANKIT_BUDGET", str(recheck - 1))
+    assert verify_text(tmp_path, spec, text) == (
+        2, "ERROR=BudgetExceededError: defu escape scan to depth 9 at level 9: "
+           f"{recheck} words used, budget {recheck - 1}\n")
 
 
 def test_defu_refuses_an_escape_at_the_stab_depth(tmp_path):
@@ -581,12 +686,15 @@ def test_defu_refuses_an_escape_at_the_stab_depth(tmp_path):
 
 
 def test_defu_on_a_huge_stab_is_refused_by_its_exponent(tmp_path, monkeypatch):
+    # the table's levels are charged before any is built: after the claim
+    # validation of both lines (511 words each), levels 0..19 (2^20 - 1
+    # words) pass the budget
     monkeypatch.delenv("FANKIT_BUDGET", raising=False)
     spec = write_spec(tmp_path, "d = stab(len_ge(0), 20000)\n"
                                 "huge = stab(len_ge(0), 99999999999)\n")
     for name, s in (("d", 20000), ("huge", 99999999999)):
-        refusal = (2, f"ERROR=BudgetExceededError: defu escape scan to depth {s} "
-                      f"needs 2^{s + 1} words, budget 1048576\n")
+        refusal = (2, f"ERROR=BudgetExceededError: defu escape scan to depth {s} at level 19: "
+                      f"{2 * 511 + (1 << 20) - 1} words used, budget 1048576\n")
         assert run(["defu", "--spec", spec, "--set", name]) == refusal
         cert = Certificate(f"defu --set {name} --oracle llpo:16", "NOT_EXISTS", [])
         assert verify_text(tmp_path, spec, cert.render()) == refusal
@@ -597,8 +705,8 @@ def test_interior_is_metered(tmp_path, monkeypatch):
     spec = write_spec(tmp_path, "a = interior(complement(finite(111111111111111111)))\n")
     monkeypatch.setenv("FANKIT_BUDGET", "64")
     code, text = run(["bar-check", "--spec", spec, "--set", "a", "--depth", "4"])
-    assert (code, text) == (2, "ERROR=BudgetExceededError: interior to stab 19 visited "
-                               "65 words, budget 64\n")
+    assert (code, text) == (2, "ERROR=BudgetExceededError: interior to stab 19 at level 17: "
+                               "65 words used, budget 64\n")
 
 
 def test_non_utf8_text_and_unreadable_digits_exit_3(tmp_path):

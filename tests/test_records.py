@@ -212,3 +212,30 @@ def test_no_module_imports_dataclasses_or_runs_generated_code():
                 assert node.module != "dataclasses", path
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 assert node.func.id not in ("exec", "eval", "compile"), path
+
+
+def test_only_the_budget_module_reads_the_budget_or_names_the_depth_cap():
+    # one meter per run: no other module reads FANKIT_BUDGET or the
+    # environment, or names the depth cap, and the per-scan budget
+    # helpers that came before the meter are gone
+    gone = {"ScanMeter", "check_enumeration", "check_enumeration_exp", "enumeration_budget"}
+    private = {"FANKIT_BUDGET", "MAX_SCAN_DEPTH", "environ", "getenv", "os"}
+    for path in sorted((SRC / "fankit").glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        assert not names & gone, path
+        if path.name != "_budget.py":
+            assert not names & private, path
+    budget = fankit._budget
+    assert not [name for name in gone if hasattr(budget, name)]
+    assert budget.MAX_SCAN_DEPTH == 1024 and "FANKIT_BUDGET" in inspect.getsource(budget)
