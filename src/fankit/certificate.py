@@ -24,11 +24,11 @@ from typing import Callable
 from . import __version__
 from ._budget import check_depth, meter
 from ._record import Record
-from .continuity import Functional, Leaf, Node, eval_word, is_constant, least_escape
+from .continuity import Functional, Leaf, Node, eval_word, least_escape
 from .errors import BudgetExceededError, FankitError
-from .sets import DSet, Outcome, avoid_height, bar_verdict, descend, uniform_bound
+from .sets import DSet, Outcome, avoid_height, bar_verdict, uniform_bound
 from .specfile import SpecDoc
-from .trees import Tree, complete
+from .trees import Tree, complete, tree_levels
 from .words import Word, format_word, parse_word
 
 HEADER = "FANKIT-CERT"
@@ -192,14 +192,9 @@ def check_uniform_bound(cert: Certificate, doc: SpecDoc, name: str, limit: int):
 
 def level_listing(t: Tree, depth: int) -> list[str]:
     """The WITNESS= values of complete-tree: for each level k of t's completion
-    up to depth, "k:" and its members in lex order.  Each word is held as
-    text and charged by its length, so the budget bounds the listing's bits."""
-    check_depth(depth, "level listing")
-    tick, levels = meter().tick, [[] for _ in range(depth + 1)]
-    for u in descend(complete(t).member, depth):
-        tick("level listing", len(u), len(u))
-        levels[len(u)].append(format_word(u))
-    return [f"{k}:{' '.join(members)}" for k, members in enumerate(levels)]
+    up to depth, "k:" and its members in lex order."""
+    return [f"{k}:{' '.join(map(format_word, level))}"
+            for k, level in enumerate(tree_levels(complete(t), depth))]
 
 
 def check_complete_tree(cert: Certificate, doc: SpecDoc, name: str, depth: int):
@@ -313,7 +308,7 @@ def check_deco(cert: Certificate, doc: SpecDoc, name: str):
         if eval_word(f, a) == eval_word(f, b):
             return False, ["witness prefixes evaluate to the same value"]
         return True, []
-    if is_constant(f).constant:
+    if _level_split(f, 0) is None:  # constant below the empty word
         return True, []
     return False, ["the functional is not constant; EXISTS was the truth"]
 

@@ -92,7 +92,7 @@ def wkl_from_llpo(t: Tree, oracle: LLPOOracle, fuel: int = DEFAULT_FUEL) -> Path
             return 1 if all(beta(j) == 0 for j in range(i)) else 0
 
         answer = oracle.decide(Seq.from_rule(alpha_rule))
-        trace.append(f"llpo[{oracle.tag}]@{format_word(u)}={answer.name}")
+        trace.append(f"llpo[{oracle.tag}]@{len(u)}={answer.name}")
         return 0 if answer is Parity.EVENS else 1
 
     return PathGen(t, advance, fuel=fuel)

@@ -41,6 +41,9 @@ class _Token(FrozenRecord):
         _set(self, "col", col)
 
 
+_PUNCTUATION = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", "=": "EQUALS"}
+
+
 def _tokenize_line(text: str, line_no: int) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
@@ -52,17 +55,8 @@ def _tokenize_line(text: str, line_no: int) -> list[_Token]:
         if c == "#":
             break
         col = i + 1
-        if c == "(":
-            tokens.append(_Token("LPAREN", c, line_no, col))
-            i += 1
-        elif c == ")":
-            tokens.append(_Token("RPAREN", c, line_no, col))
-            i += 1
-        elif c == ",":
-            tokens.append(_Token("COMMA", c, line_no, col))
-            i += 1
-        elif c == "=":
-            tokens.append(_Token("EQUALS", c, line_no, col))
+        if c in _PUNCTUATION:
+            tokens.append(_Token(_PUNCTUATION[c], c, line_no, col))
             i += 1
         elif c.isdigit():
             j = i
@@ -79,33 +73,6 @@ def _tokenize_line(text: str, line_no: int) -> list[_Token]:
         else:
             raise SpecError(f"unexpected character {c!r}", line_no, col)
     return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens: list[_Token], line_no: int, line_len: int):
-        self._tokens = tokens
-        self._pos = 0
-        self._line = line_no
-        self._end_col = line_len + 1
-
-    def at(self, kind: str) -> bool:
-        """Is the next token of this kind?"""
-        return self._pos < len(self._tokens) and self._tokens[self._pos].kind == kind
-
-    def next(self, at_end: str = "unexpected end of line") -> _Token:
-        if self.done():
-            raise SpecError(at_end, self._line, self._end_col)
-        self._pos += 1
-        return self._tokens[self._pos - 1]
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise SpecError(f"expected {kind}, got {tok.text!r}", tok.line, tok.col)
-        return tok
-
-    def done(self) -> bool:
-        return self._pos >= len(self._tokens)
 
 
 class _Witness(FrozenRecord):
@@ -253,41 +220,68 @@ class _Parser:
         self._doc = doc
         self._tables: dict = {}  # claim validation's membership tables
 
-    def parse_expr(self, tok: _Token, ts: _TokenStream):
-        """The value of the expression that starts at tok: a call, or a
-        name defined on an earlier line."""
-        if tok.kind != "NAME":
-            raise SpecError(f"expected a constructor or name, got {tok.text!r}",
-                            tok.line, tok.col)
-        if ts.at("LPAREN"):
-            return self._parse_call(tok, ts)
-        if tok.text not in self._doc.definitions:
-            raise SpecError(f"undefined name {tok.text!r} "
-                            "(references must point at earlier lines)", tok.line, tok.col)
-        return self._doc.definitions[tok.text]
+    def parse_line(self, tokens: list[_Token], line_no: int, end_col: int) -> None:
+        """Bind `name = expression`, read in one loop with a stack of the open
+        calls, each a head token and its arguments so far.  Literals (digits,
+        and a bare e) stay tokens until their call converts them."""
+        defs, pos = self._doc.definitions, 0
 
-    def _collect_args(self, ts: _TokenStream) -> list:
-        """The argument items: literals (digits, and a bare e) kept as
-        tokens, every other item evaluated."""
-        ts.expect("LPAREN")
-        items: list = []
-        if ts.at("RPAREN"):
-            ts.next()
-            return items
+        def take(kind: str | None = None, at_end: str = "unexpected end of line") -> _Token:
+            nonlocal pos
+            if pos == len(tokens):
+                raise SpecError(at_end, line_no, end_col)
+            tok = tokens[pos]
+            pos += 1
+            if kind is not None and tok.kind != kind:
+                raise SpecError(f"expected {kind}, got {tok.text!r}", tok.line, tok.col)
+            return tok
+
+        name = take("NAME")
+        if name.text in defs:
+            raise SpecError(f"duplicate name {name.text!r}", name.line, name.col)
+        take("EQUALS")
+        stack: list[tuple[_Token, list]] = []
         while True:
-            tok = ts.next("unterminated argument list")
-            literal = tok.kind == "ATOM" or tok.text == "e" and not ts.at("LPAREN")
-            items.append(tok if literal else self.parse_expr(tok, ts))
-            sep = ts.next()
-            if sep.kind == "RPAREN":
-                return items
-            if sep.kind != "COMMA":
-                raise SpecError(f"expected ',' or ')', got {sep.text!r}",
-                                sep.line, sep.col)
+            tok = take(at_end="unterminated argument list" if stack else "unexpected end of line")
+            opens = pos < len(tokens) and tokens[pos].kind == "LPAREN"
+            if tok.kind == "RPAREN" and tokens[pos - 2].kind == "LPAREN":
+                value = self._call(*stack.pop())  # an empty argument list
+            elif stack and (tok.kind == "ATOM" or tok.text == "e" and not opens):
+                value = tok
+            elif tok.kind != "NAME":
+                raise SpecError(f"expected a constructor or name, got {tok.text!r}",
+                                tok.line, tok.col)
+            elif opens:
+                pos += 1
+                stack.append((tok, []))
+                continue
+            elif tok.text in defs:
+                value = defs[tok.text]
+            else:
+                raise SpecError(f"undefined name {tok.text!r} "
+                                "(references must point at earlier lines)", tok.line, tok.col)
+            while stack:
+                stack[-1][1].append(value)
+                sep = take()
+                if sep.kind == "COMMA":
+                    break
+                if sep.kind != "RPAREN":
+                    raise SpecError(f"expected ',' or ')', got {sep.text!r}",
+                                    sep.line, sep.col)
+                value = self._call(*stack.pop())
+            else:
+                break
+        if pos < len(tokens):
+            stray = tokens[pos]
+            raise SpecError(f"trailing input {stray.text!r}", stray.line, stray.col)
+        if isinstance(value, _Witness):
+            raise SpecError("a witness cannot be bound on its own; wrap it in bar(...)",
+                            name.line, name.col)
+        defs[name.text] = value
 
-    def _parse_call(self, head: _Token, ts: _TokenStream):
+    def _call(self, head: _Token, items: list):
+        """A closed call's value: its constructor on the converted arguments."""
         name = head.text
-        items = self._collect_args(ts)
         if name not in _CONSTRUCTORS:
             raise SpecError(f"unknown constructor {name!r}", head.line, head.col)
         kinds, build, claims = _CONSTRUCTORS[name]
@@ -323,22 +317,8 @@ def parse_specdoc(text: str) -> SpecDoc:
     parser = _Parser(doc)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw, line_no)
-        if not tokens:
-            continue
-        ts = _TokenStream(tokens, line_no, len(raw))
-        name_tok = ts.expect("NAME")
-        if name_tok.text in doc.definitions:
-            raise SpecError(f"duplicate name {name_tok.text!r}",
-                            name_tok.line, name_tok.col)
-        ts.expect("EQUALS")
-        value = parser.parse_expr(ts.next(), ts)
-        if not ts.done():
-            stray = ts.next()
-            raise SpecError(f"trailing input {stray.text!r}", stray.line, stray.col)
-        if isinstance(value, _Witness):
-            raise SpecError("a witness cannot be bound on its own; wrap it in bar(...)",
-                            name_tok.line, name_tok.col)
-        doc.definitions[name_tok.text] = value
+        if tokens:
+            parser.parse_line(tokens, line_no, len(raw) + 1)
     return doc
 
 

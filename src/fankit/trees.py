@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from ._budget import check_depth
+from ._budget import check_depth, meter
 from ._record import FrozenRecord, _set
 from .errors import (CertificateError, FuelError, InconsistencyError, PreconditionError,
                      WitnessError)
@@ -52,14 +52,13 @@ def tree(carrier: DSet, horizon: int = DEFAULT_HORIZON, validate: bool = True) -
 
 def tree_levels(t: Tree, depth: int) -> list[list[Word]]:
     """Members of levels 0..depth, each in lex order, from one descent
-    through members only.
-
-    A listing past the depth cap is refused before any level is built,
-    like a descent that would need words that long.
-    """
+    through members only.  A listing past the depth cap is refused before
+    any level is built; each member is charged by its length, so the
+    budget bounds the bits the listing holds."""
     check_depth(depth, "level listing")
-    levels: list[list[Word]] = [[] for _ in range(depth + 1)]
+    tick, levels = meter().tick, [[] for _ in range(depth + 1)]
     for u in descend(t.member, depth):
+        tick("level listing", len(u), len(u))
         levels[len(u)].append(u)
     return levels
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fankit import Bar, Leaf, Node, Tree
+from fankit import Bar, ConstancyVerdict, Leaf, Node, Tree
 from fankit.certificate import Certificate
 from fankit.cli import COMMANDS, run
 from fankit.specfile import SpecError, parse_specdoc
@@ -178,7 +178,8 @@ def test_uc_bound_via_fan_keeps_shared_sub_functionals_shared(tmp_path, monkeypa
 
 def test_nesting_too_deep_is_a_resource_error(tmp_path):
     # the 1500-node chain through names, one line nesting complement( 2000
-    # deep, and a 3000-line chain of complements
+    # deep, and a 3000-line chain of complements; the nested line parses,
+    # and like the chain it fails in membership, two frames per complement
     chain = ["f1500 = leaf(1500)"] + [f"f{k} = node({k}, leaf({k}), f{k + 1})"
                                       for k in reversed(range(1500))]
     nested = "c = " + "complement(" * 2000 + "len_ge(1)" + ")" * 2000
@@ -195,6 +196,16 @@ def test_nesting_too_deep_is_a_resource_error(tmp_path):
     code, out = run(["deco", "--spec", write_spec(tmp_path, "\n".join(chain) + "\n"),
                      "--fn", "f0"])
     assert code == 0 and "VERDICT=EXISTS\n" in out, out[:200]
+
+
+def test_a_deeply_nested_line_is_answered(tmp_path):
+    # the parser keeps its open calls on a stack, so a line nesting
+    # complement( 400 deep is answered and verified
+    nested = "c = " + "complement(" * 400 + "len_ge(1)" + ")" * 400
+    spec = write_spec(tmp_path, nested + "\n")
+    code, text = run(["bar-check", "--spec", spec, "--set", "c", "--depth", "2"])
+    assert code == 0 and "VERDICT=YES\nBOUND=1\n" in text, text[:200]
+    assert verify_text(tmp_path, spec, text) == (0, "VERIFY=OK\n")
 
 
 def test_uc_bound_is_metered_by_the_walk(tmp_path, monkeypatch):
@@ -556,6 +567,10 @@ def test_find_path_bits_are_capped_and_every_scan_is_charged(tmp_path, monkeypat
     code, text = run(argv + ["1024"])
     assert code == 0 and f"PATH={'0' * 1024}\n" in text
     assert verify_text(tmp_path, spec, text) == (0, "VERIFY=OK\n")
+    # each TRACE event names its prefix by length, so the certificate grows
+    # linearly with the path, not with its square
+    assert "TRACE=llpo[bounded(h=16)]@0=EVENS;llpo[bounded(h=16)]@1=EVENS;" in text
+    assert len(text.encode()) < 64 << 10
 
 
 def test_a_level_listing_is_charged_by_its_bits(tmp_path, monkeypatch):
@@ -646,6 +661,19 @@ def test_deep_scans_and_small_budgets_fail_cleanly(tmp_path, monkeypatch):
     assert code == 2 and text.startswith("ERROR=BudgetExceededError"), text
     assert text == ("ERROR=BudgetExceededError: claim validation to horizon 8 at level 8: "
                     "511 words used, budget 256\n")
+
+
+def test_deco_not_exists_is_not_rechecked_by_the_producer(tmp_path, monkeypatch):
+    # a producer whose constancy test always answers "constant" writes
+    # NOT_EXISTS for a functional that is not constant; verify must not
+    # ask that same test
+    spec = write_spec(tmp_path)
+    mutant = lambda f: ConstancyVerdict(value=0)  # noqa: E731
+    for module in ("fankit.continuity", "fankit.certificate"):
+        monkeypatch.setattr(f"{module}.is_constant", mutant, raising=False)
+    code, text = run(["deco", "--spec", spec, "--fn", "q2"])
+    assert code == 0 and "VERDICT=NOT_EXISTS\n" in text, text
+    assert_rejected(tmp_path, spec, text, "the functional is not constant")
 
 
 def test_defu_not_exists_is_rechecked_within_the_producers_budget(tmp_path, monkeypatch):

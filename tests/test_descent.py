@@ -10,9 +10,9 @@ import tracemalloc
 
 import pytest
 
-from fankit import (DSet, bar_verdict, closure, complete, finite_set, full_set,
-                    is_infinite_to, is_summit, least_uniform_bound, members_at,
-                    restrict, tree)
+from fankit import (DSet, bar_verdict, closure, complement, complete, finite_set,
+                    full_set, is_infinite_to, is_summit, least_uniform_bound,
+                    members_at, restrict, tree)
 from fankit._budget import MAX_SCAN_DEPTH
 from fankit.errors import BudgetExceededError
 from fankit.sets import avoid_height, descend, descent_height
@@ -208,10 +208,27 @@ def test_summit_and_completion_agree_with_bruteforce():
 # The budget meters visits, not a 2^n worst case.
 
 def test_thin_tree_levels_cost_their_width(monkeypatch):
-    monkeypatch.setenv("FANKIT_BUDGET", "256")
+    # the listing holds 41 words of 820 bits in all, far below 2^41
+    monkeypatch.setenv("FANKIT_BUDGET", "1024")
     t = tree(finite_set([(), (1,), (1, 0)]), validate=False)
     levels = tree_levels(complete(t), 40)
     assert levels == [[()], [(1,)]] + [[(1, 0) + (0,) * (k - 2)] for k in range(2, 41)]
+
+
+def test_a_library_listing_is_charged_by_its_bits(monkeypatch):
+    # the descent goes down the zero ray first, so the listed words are
+    # about 1024 bits long, 8 KB each as tuples: charged by their bits,
+    # they stay within the budget's memory
+    monkeypatch.setenv("FANKIT_BUDGET", "16384")
+    t = tree(complement(closure(finite_set([(1,)]))), validate=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="^level listing at level "):
+            tree_levels(t, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_full_tree_levels_still_exceed_the_budget(monkeypatch):

@@ -239,3 +239,48 @@ def test_only_the_budget_module_reads_the_budget_or_names_the_depth_cap():
     budget = fankit._budget
     assert not [name for name in gone if hasattr(budget, name)]
     assert budget.MAX_SCAN_DEPTH == 1024 and "FANKIT_BUDGET" in inspect.getsource(budget)
+
+
+def recursive_functions(module: ast.Module) -> set[str]:
+    """The functions of a module that call themselves, directly or through
+    other functions of the module.  A call by name or by attribute (such
+    as self.name) counts as a call of every function of that name;
+    super().__init__ and its kind do not."""
+    calls: dict[str, set[str]] = {}
+    for node in ast.walk(module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = calls.setdefault(node.name, set())
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                if isinstance(call.func, ast.Name):
+                    called.add(call.func.id)
+                elif isinstance(call.func, ast.Attribute) and not (
+                        isinstance(call.func.value, ast.Call)
+                        and getattr(call.func.value.func, "id", None) == "super"):
+                    called.add(call.func.attr)
+    recursive = set()
+    for name in calls:
+        seen, todo = set(), [name]
+        while todo:
+            for callee in calls.get(todo.pop(), ()):
+                if callee in calls and callee not in seen:
+                    seen.add(callee)
+                    todo.append(callee)
+        if name in seen:
+            recursive.add(name)
+    return recursive
+
+
+def test_the_definition_file_parser_is_one_loop():
+    # a parser that recursed would cap nesting at Python's stack; the old
+    # recursive descent's names must not come back
+    module = ast.parse((SRC / "fankit" / "specfile.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(module)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_TokenStream", "parse_expr", "_collect_args", "_parse_call"}
+    assert recursive_functions(module) == set()
+    # the scan sees recursion through other functions
+    looped = ast.parse("def a():\n    b()\n\ndef b():\n    self.c()\n\n"
+                       "def c():\n    a()\n\ndef d():\n    a()\n")
+    assert recursive_functions(looped) == {"a", "b", "c"}

@@ -127,3 +127,14 @@ def test_readme_lists_every_constructor_with_its_kinds():
             listed[name] = tuple(... if arg == "..." else arg for arg in args.split(", "))
     assert listed == KINDS
     assert listed == {name: record.kinds for name, record in _CONSTRUCTORS.items()}
+
+
+def test_nesting_depth_is_not_capped_by_the_parser():
+    # one loop with a stack of open calls: no Python frame per level
+    depth = 20000
+    doc = parse_specdoc("a = len_ge(1)\nc = " + "complement(" * depth + "a" + ")" * depth + "\n")
+    assert set(doc.definitions) == {"a", "c"}
+    unclosed = "c = " + "complement(" * depth + "len_ge(1)" + ")" * (depth - 1)
+    with pytest.raises(SpecError) as err:
+        parse_specdoc(unclosed + "\n")
+    assert str(err.value) == f"line 1, column {len(unclosed) + 1}: unexpected end of line"
