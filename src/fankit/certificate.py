@@ -26,7 +26,7 @@ from ._budget import check_depth, meter
 from ._record import Record
 from .continuity import Functional, Leaf, Node, eval_word, least_escape
 from .errors import BudgetExceededError, FankitError
-from .sets import DSet, Outcome, avoid_height, bar_verdict, uniform_bound
+from .sets import DSet, avoid_height
 from .specfile import SpecDoc
 from .trees import Tree, complete, tree_levels
 from .words import Word, format_word, parse_word
@@ -161,7 +161,10 @@ def verify(cert: Certificate, doc: SpecDoc, check: Callable, values: list,
 
 
 def _check_scan(cert: Certificate, carrier: DSet, limit: int, limit_flag: str,
-                rescan: Callable) -> tuple[bool, list[str]]:
+                stab_decides: bool) -> tuple[bool, list[str]]:
+    """UNKNOWN is right when a level-limit word escapes and, with stab_decides
+    (bar-check, where an escape decides NO once the carrier stabilizes), the
+    carrier does not stabilize by the limit."""
     if cert.verdict == "YES":
         n = _count(cert.single("BOUND"), "BOUND")
         if n > limit:
@@ -175,19 +178,18 @@ def _check_scan(cert: Certificate, carrier: DSet, limit: int, limit_flag: str,
     depth = _count(cert.single("BOUND"), "BOUND")
     if depth != limit:
         return False, [f"UNKNOWN names depth {depth}, not {limit_flag} {limit}"]
-    fresh = rescan(carrier, depth)
-    if fresh.outcome is Outcome.UNKNOWN:
-        return True, []
-    return False, [f"re-scan to depth {depth} decided the question "
-                   f"({fresh.outcome.value}); UNKNOWN was wrong"]
+    if stab_decides and carrier.stab is not None and carrier.stab <= depth \
+            or avoid_height(carrier, depth)[1] is None:
+        return False, [f"a scan to depth {depth} decides the question; UNKNOWN was wrong"]
+    return True, []
 
 
 def check_bar_check(cert: Certificate, doc: SpecDoc, name: str, depth: int):
-    return _check_scan(cert, doc.get_set(name), depth, "--depth", bar_verdict)
+    return _check_scan(cert, doc.get_set(name), depth, "--depth", True)
 
 
 def check_uniform_bound(cert: Certificate, doc: SpecDoc, name: str, limit: int):
-    return _check_scan(cert, doc.get_set(name), limit, "--max", uniform_bound)
+    return _check_scan(cert, doc.get_set(name), limit, "--max", False)
 
 
 def level_listing(t: Tree, depth: int) -> list[str]:

@@ -7,14 +7,12 @@ Exit codes: 0 YES/decided, 1 NO/counterexample/failed re-check,
 
 from __future__ import annotations
 
-import argparse
-import functools
 import sys
 from collections import namedtuple
 from contextvars import copy_context
 
 from ._budget import RUN_METER, Meter, check_depth
-from .certificate import (Certificate, CertificateFormatError, _count, check_bar_check,
+from .certificate import (Certificate, CertificateFormatError, check_bar_check,
                           check_coconvex_bound, check_complete_tree, check_deco,
                           check_defu, check_find_path, check_uc_bound,
                           check_uniform_bound, level_listing, verify)
@@ -40,53 +38,26 @@ class UsageError(FankitError):
     pass
 
 
-class _Help(Exception):
-    """-h or --help: the help text, which run returns with exit 0."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would sys.exit; raise instead
-        raise UsageError(message)
-
-    def print_help(self, file=None):  # argparse would print and sys.exit
-        raise _Help(self.format_help())
-
-
-def nonnegative_int(text: str) -> int:
+def nonnegative_int(text: str, what: str = "value") -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        raise ValueError(f"{what} must be nonnegative, got {value}")
     return value
 
 
 def _oracle_horizon(text: str) -> int:
     if not text.startswith("llpo:"):
-        raise UsageError(f"unsupported oracle {text!r}; use llpo:H")
-    try:
-        horizon = int(text[len("llpo:"):])
-    except ValueError as exc:
-        raise UsageError(f"bad oracle horizon in {text!r}") from exc
-    if horizon < 0:
-        raise UsageError(f"oracle horizon must be nonnegative, got {horizon}")
-    return horizon
+        raise ValueError(f"unsupported oracle {text!r}; use llpo:H")
+    return nonnegative_int(text[len("llpo:"):], "oracle horizon")
 
 
 def _do_scan(doc, name, limit, scan):
-    """The produce step of bar-check and uniform-bound: the verdict of
-    scan(set, limit) and its payload, as _check_scan reads them."""
+    """bar-check and uniform-bound: scan(set, limit)'s verdict and payload, for _check_scan."""
     verdict = scan(doc.get_set(name), limit)
     if verdict.is_no:
         return "NO", [("ESCAPE", format_word(restrict(verdict.escape, limit)))], ""
     bound = verdict.depth if verdict.is_unknown else verdict.bound
     return verdict.outcome.value, [("BOUND", str(bound))], ""
-
-
-def _do_bar_check(doc, name, depth):
-    return _do_scan(doc, name, depth, bar_verdict)
-
-
-def _do_uniform_bound(doc, name, limit):
-    return _do_scan(doc, name, limit, uniform_bound)
 
 
 def _do_complete_tree(doc, name, depth):
@@ -158,30 +129,31 @@ def _do_verify(doc, path) -> tuple[int, str]:
     return EXIT_NO, f"VERIFY=FAIL\n{lines}\n"
 
 
-# One kind of flag: its argparse options, how the parsed text becomes the
-# value the steps see (take), and how COMMAND= writes that value (show)
-# and reads it back (read, from the text and the flag, as strictly as _count).
-Flag = namedtuple("Flag", "options take show read")
-_NAME = Flag({"required": True}, str, str, lambda text, flag: text)
-_COUNT = Flag({"type": nonnegative_int, "required": True}, int, str, _count)
-_ORACLE = Flag({"default": "llpo:16"}, _oracle_horizon, "llpo:{}".format,
-              lambda text, flag: _count(text.removeprefix("llpo:"), flag))
-_SWITCH = Flag({"action": "store_true"}, bool, None, None)  # written only when set
+# One kind of flag: how its text becomes the value the steps see (take,
+# raising ValueError on text it refuses), how COMMAND= writes that value
+# (show), and its value when the flag is absent (default; None: required).
+Flag = namedtuple("Flag", "take show default")
+_NAME = Flag(str, str, None)
+_COUNT = Flag(nonnegative_int, str, None)
+_ORACLE = Flag(_oracle_horizon, "llpo:{}".format, 16)
+_SWITCH = Flag(None, None, False)  # bare; written only when set
+_HELP = Flag(None, None, False)  # bare; argv only: ends the walk with the usage
 
-# One subcommand: its flags after --spec, in COMMAND= order; the verdicts
-# its step writes, with the payload keys of each; the step, called with the
-# definition file and the flag values, which returns (verdict, payload,
-# trace), or for verify (exit code, report); and the re-check verify runs
-# on its certificates.
+# One subcommand: its flags after --spec, in COMMAND= order; the verdicts its
+# step writes, with the payload keys of each; the step, called with the
+# definition file and the flag values, returning (verdict, payload, trace), or
+# for verify (exit code, report); and the re-check verify runs on its output.
 Command = namedtuple("Command", "flags verdicts step check", defaults=(None,))
 
 COMMANDS: dict[str, Command] = {
     "bar-check": Command({"--set": _NAME, "--depth": _COUNT},
                          {"YES": ("BOUND",), "NO": ("ESCAPE",), "UNKNOWN": ("BOUND",)},
-                         _do_bar_check, check_bar_check),
+                         lambda doc, name, depth: _do_scan(doc, name, depth, bar_verdict),
+                         check_bar_check),
     "uniform-bound": Command({"--set": _NAME, "--max": _COUNT},
                              {"YES": ("BOUND",), "UNKNOWN": ("BOUND",)},
-                             _do_uniform_bound, check_uniform_bound),
+                             lambda doc, name, limit: _do_scan(doc, name, limit, uniform_bound),
+                             check_uniform_bound),
     "complete-tree": Command({"--tree": _NAME, "--depth": _COUNT}, {"YES": ("WITNESS",)},
                              _do_complete_tree, check_complete_tree),
     "find-path": Command({"--tree": _NAME, "--bits": _COUNT, "--oracle": _ORACLE},
@@ -212,38 +184,57 @@ def _command_line(name: str, command: Command, values: list) -> str:
     return " ".join(words)
 
 
-def _read_command(line: str) -> tuple[Command, list]:
-    """The record and flag values of a COMMAND= line.  A line the values do
-    not write back byte for byte (an unknown, repeated, reordered or missing
-    flag, a number written otherwise) is not the producer's: a format error."""
-    name, *tokens = line.split(" ")
+def _read(name: str, tokens: list[str], extra: dict) -> tuple[Command, list | None]:
+    """The record of subcommand `name` and the values of the flags of `extra`
+    and then of the record, from `--flag value` pairs and bare switches in
+    any order, a repeated flag keeping its last value.  A help flag ends the
+    walk, with no values; anything else the reader refuses is a usage error."""
     command = COMMANDS.get(name)
-    if command is None or command.check is None:
-        raise CertificateFormatError(f"unknown command {name!r:.40}")
-    found = {}
-    rest = iter(tokens)
+    if command is None:
+        raise UsageError(f"unknown command {name!r:.40}; fankit -h lists them")
+    flags = extra | command.flags
+    found, rest = {}, iter(tokens)
     for token in rest:
-        kind = command.flags.get(token)
-        if kind is not None:
-            found[token] = True if kind is _SWITCH else kind.read(next(rest, ""), token)
-    values = [found.get(flag) for flag in command.flags]
-    if _command_line(name, command, values) != line:
+        kind = flags.get(token)
+        if kind is None:
+            raise UsageError(f"unrecognized argument {token!r:.40}")
+        if kind is _HELP:
+            return command, None
+        text = "" if kind is _SWITCH else next(rest, token)
+        if text in flags:  # at the end, or a flag in the value's place
+            raise UsageError(f"argument {token}: expected a value")
+        try:
+            found[token] = kind is _SWITCH or kind.take(text)
+        except ValueError as exc:
+            raise UsageError(f"argument {token}: {exc}") from None
+    missing = [flag for flag, kind in flags.items() if kind.default is None and flag not in found]
+    if missing:
+        raise UsageError(f"missing {', '.join(missing)}")
+    return command, [found.get(flag, kind.default) for flag, kind in flags.items()
+                     if kind is not _HELP]
+
+
+def _read_command(line: str) -> tuple[Command, list]:
+    """The record and flag values of a COMMAND= line.  A line they do not
+    write back byte for byte (say, a repeated or reordered flag or a number
+    written otherwise) is not the producer's: a format error."""
+    name, *tokens = line.split(" ")
+    try:
+        command, values = _read(name, tokens, {})
+        if command.check is None or _command_line(name, command, values) != line:
+            raise UsageError(line)
+    except UsageError:
         raise CertificateFormatError(f"COMMAND is not as the producer writes it: {line!r:.80}")
     return command, values
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The parser for COMMANDS.  Built on the first run, not at import, so
-    importing the module stays cheap; every later run reuses it."""
-    parser = _Parser(prog="fankit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name)
-        p.add_argument("--spec", required=True, help="definition file")
-        for flag, kind in command.flags.items():
-            p.add_argument(flag, **kind.options)
-    return parser
+def _usage(name: str) -> str:
+    """The synopsis of one subcommand; a flag with a default is in brackets."""
+    words = [f"fankit {name} --spec SPEC"]
+    for flag, kind in COMMANDS[name].flags.items():
+        word = flag if kind is _SWITCH else f"{flag} {flag[2:].upper()}"
+        words.append(word if kind.default is None else f"[{word}]")
+    return " ".join(words)
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -252,27 +243,29 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
+    if argv[:1] in (["-h"], ["--help"]):
+        return EXIT_YES, (f"usage: fankit COMMAND ...\n\n{__doc__}\ncommands:\n"
+                          + "".join(f"  {_usage(name)}\n" for name in COMMANDS))
+    name, *tokens = argv or [""]
     try:
-        args = _parser().parse_args(argv)
+        command, values = _read(name, tokens, {"--spec": _NAME, "-h": _HELP, "--help": _HELP})
     except UsageError as exc:
         return EXIT_USAGE, f"ERROR=usage: {exc}\n"
-    except _Help as help_text:
-        return EXIT_YES, str(help_text)
+    if values is None:
+        return EXIT_YES, f"usage: {_usage(name)}\n"
+    spec, *values = values
     try:
         RUN_METER.set(Meter())  # every scan of the run charges this one meter
-        doc = load_specdoc(args.spec)
+        doc = load_specdoc(spec)
     except (SpecError, OSError) as exc:
         return EXIT_USAGE, f"ERROR=spec: {exc}\n"
     except (BudgetExceededError, RecursionError) as exc:
         return EXIT_UNKNOWN, f"ERROR={type(exc).__name__}: {exc}\n"
-    command = COMMANDS[args.command]
     try:
-        values = [kind.take(getattr(args, flag[2:].replace("-", "_")))
-                  for flag, kind in command.flags.items()]
         if command.check is None:
             return command.step(doc, *values)
         verdict, payload, trace = command.step(doc, *values)
-        cert = Certificate(_command_line(args.command, command, values), verdict, payload, trace)
+        cert = Certificate(_command_line(name, command, values), verdict, payload, trace)
         return EXIT_CODES[verdict], cert.render()
     except (UsageError, PreconditionError, SpecError, OutOfRangeError,
             CertificateFormatError) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from ._budget import check_depth, meter
+from ._budget import RUN_METER, check_depth, meter
 from ._record import FrozenRecord, _set
 from .errors import (CertificateError, FuelError, InconsistencyError, PreconditionError,
                      WitnessError)
@@ -52,14 +52,19 @@ def tree(carrier: DSet, horizon: int = DEFAULT_HORIZON, validate: bool = True) -
 
 def tree_levels(t: Tree, depth: int) -> list[list[Word]]:
     """Members of levels 0..depth, each in lex order, from one descent
-    through members only.  A listing past the depth cap is refused before
-    any level is built; each member is charged by its length, so the
-    budget bounds the bits the listing holds."""
+    through members only, charged to the listing's meter.  A listing past
+    the depth cap is refused before any level is built; each member is
+    charged by its length, so the budget bounds the bits the listing holds."""
     check_depth(depth, "level listing")
-    tick, levels = meter().tick, [[] for _ in range(depth + 1)]
-    for u in descend(t.member, depth):
-        tick("level listing", len(u), len(u))
-        levels[len(u)].append(u)
+    listing = meter()
+    token = RUN_METER.set(listing)
+    try:
+        levels = [[] for _ in range(depth + 1)]
+        for u in descend(t.member, depth):
+            listing.tick("level listing", len(u), len(u))
+            levels[len(u)].append(u)
+    finally:
+        RUN_METER.reset(token)
     return levels
 
 
@@ -207,20 +212,19 @@ def escape_witness(t: Tree, scan_cap: int) -> Callable[[Seq], int]:
 class PathGen:
     """Single-consumer lazy path producer.
 
-    Each next() call asks the advance rule for one more bit and, by
-    default, verifies the grown prefix is still a member of the tree.
+    Each next() call asks the advance rule for one more bit and verifies
+    the grown prefix is still a member of the tree.
     All oracle and witness traffic is recorded in `trace` for replay.
     """
 
     def __init__(self, t: Tree, advance: Callable[[Word, list], int],
-                 fuel: int = DEFAULT_FUEL, check: bool = True):
+                 fuel: int = DEFAULT_FUEL):
         self._tree = t
         self._advance = advance
         self._bits: list[int] = []
         self._fuel = fuel
-        self._check = check
         self.trace: list[str] = []
-        if check and not t.member(EMPTY):
+        if not t.member(EMPTY):
             raise InconsistencyError(EMPTY, "tree has no root, cannot carry a path")
 
     @property
@@ -235,7 +239,7 @@ class PathGen:
         if bit not in (0, 1):
             raise CertificateError(f"advance rule produced {bit!r}")
         self._bits.append(bit)
-        if self._check and not self._tree.member(tuple(self._bits)):
+        if not self._tree.member(tuple(self._bits)):
             raise CertificateError(
                 f"emitted prefix {format_word(tuple(self._bits))} left the tree")
         return bit

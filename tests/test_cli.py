@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fankit import Bar, ConstancyVerdict, Leaf, Node, Tree
+from fankit import Bar, ConstancyVerdict, Leaf, Node, Tree, Verdict
 from fankit.certificate import Certificate
 from fankit.cli import COMMANDS, run
 from fankit.specfile import SpecError, parse_specdoc
@@ -494,7 +494,7 @@ def test_bad_bits_and_negative_numbers_are_usage_errors(tmp_path):
     for argv in (["find-path", "--tree", "zt", "--bits", "3", "--oracle", "llpo:-5"],
                  ["defu", "--set", "db", "--oracle", "llpo:-1"]):
         code, text = run(argv[:1] + ["--spec", spec] + argv[1:])
-        assert code == 3 and text.startswith("ERROR=UsageError") \
+        assert code == 3 and text.startswith("ERROR=usage") \
             and "horizon must be nonnegative" in text, (argv, text)
 
 
@@ -676,6 +676,22 @@ def test_deco_not_exists_is_not_rechecked_by_the_producer(tmp_path, monkeypatch)
     assert_rejected(tmp_path, spec, text, "the functional is not constant")
 
 
+def test_scan_unknown_is_not_rechecked_by_the_producer(tmp_path, monkeypatch):
+    # producers that answer UNKNOWN where the question is decided (NO for
+    # s: it stabilizes at 3 and 1100 escapes; YES for len2) write UNKNOWN
+    # certificates; verify must not ask those same scans
+    spec = write_spec(tmp_path, BASIC_SPEC + "s = intersect(len_ge(3), complement(prefix(11)))\n")
+    mutant = lambda b, depth: Verdict.unknown(depth)  # noqa: E731
+    for module in ("fankit.sets", "fankit.cli", "fankit.certificate"):
+        for scan in ("bar_verdict", "uniform_bound"):
+            monkeypatch.setattr(f"{module}.{scan}", mutant, raising=False)
+    for argv in (["bar-check", "--set", "s", "--depth", "4"],
+                 ["uniform-bound", "--set", "len2", "--max", "4"]):
+        code, text = run(argv[:1] + ["--spec", spec] + argv[1:])
+        assert code == 2 and "VERDICT=UNKNOWN\nBOUND=4\n" in text, text
+        assert_rejected(tmp_path, spec, text, "a scan to depth 4 decides the question")
+
+
 def test_defu_not_exists_is_rechecked_within_the_producers_budget(tmp_path, monkeypatch):
     # both runs charge the claim validation (511 words) and the table of
     # levels 0..9 (1023 words); only the producer searches a path, so the
@@ -797,26 +813,48 @@ def test_help_returns_its_text(tmp_path):
     assert done.stdout == run(["uc-bound", "--help"])[1]
 
 
-def test_the_parser_is_built_on_the_first_run_only():
-    code = """if True:
-        import argparse
-        built = []
-        init = argparse.ArgumentParser.__init__
-        def counting(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-        argparse.ArgumentParser.__init__ = counting
-        import fankit.cli
-        print(len(built))
-        fankit.cli.run(["bogus-command"])
-        print(len(built) > 0)
-        first = len(built)
-        fankit.cli.run(["bar-check", "--spec", "missing.fankit", "--set", "a", "--depth", "1"])
-        fankit.cli.run(["bogus-command"])
-        print(len(built) - first)
+def test_the_cli_loads_no_argument_parser(tmp_path):
+    # argv and COMMAND= are read by one loop over COMMANDS: a produce, a
+    # verify, a usage error and the help load neither argparse nor gettext
+    spec, cert = write_spec(tmp_path), str(tmp_path / "cert.txt")
+    code = f"""if True:
+        import sys
+        from pathlib import Path
+        from fankit.cli import run
+        code, text = run(["uniform-bound", "--spec", {spec!r}, "--set", "len2", "--max", "8"])
+        Path({cert!r}).write_text(text, encoding="utf-8")
+        print(code, run(["verify", "--spec", {spec!r}, "--cert", {cert!r}])[0],
+              run(["bar-check", "--spec", {spec!r}, "--depth=3"])[0], run(["-h"])[0])
+        print(sorted({{"argparse", "gettext"}} & set(sys.modules)))
     """
     done = run_module(code=code)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "0\nTrue\n0\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 0 3 0\n[]\n", "")
+
+
+def test_argv_is_read_as_command_lines_are_written(tmp_path):
+    # --flag value pairs and bare switches in any order, the last of a
+    # repeated flag winning; no --flag=value and no abbreviated flags
+    spec = write_spec(tmp_path)
+    base = ["bar-check", "--spec", spec, "--set", "len2", "--depth", "3"]
+    expected = run(base)
+    assert expected[0] == 0 and "COMMAND=bar-check --set len2 --depth 3\n" in expected[1]
+    assert run(["bar-check", "--depth", "9", "--set", "len2", "--spec", spec,
+                "--depth", "3"]) == expected
+    assert run(["uc-bound", "--via-fan", "--fn", "q2", "--spec", spec]) == \
+        run(["uc-bound", "--spec", spec, "--fn", "q2", "--via-fan"])
+    for argv in (base[:5] + ["--depth=3"], base[:5] + ["--dep", "3"], base[:6], [],
+                 ["bar-chek"] + base[1:], base + ["--via-fan"], base[:5]):
+        code, text = run(argv)
+        assert code == 3 and text.startswith("ERROR=usage: "), (argv, text)
+    # -h in a flag's place prints the subcommand's usage; in a value's
+    # place, as any flag there, it leaves the flag before it without one
+    assert run(base[:5] + ["-h"] + base[5:]) == \
+        (0, "usage: fankit bar-check --spec SPEC --set SET --depth DEPTH\n")
+    assert run(["uc-bound", "--fn", "q2", "--help"]) == \
+        (0, "usage: fankit uc-bound --spec SPEC --fn FN [--via-fan]\n")
+    for value in ("-h", "--depth"):
+        assert run(base[:4] + [value] + base[5:]) == \
+            (3, "ERROR=usage: argument --set: expected a value\n")
 
 
 def test_a_mixed_run_sequence_matches_fresh_processes(tmp_path):

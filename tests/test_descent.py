@@ -4,6 +4,7 @@ metering of its budget."""
 
 from __future__ import annotations
 
+import contextvars
 import random
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import pytest
 from fankit import (DSet, bar_verdict, closure, complement, complete, finite_set,
                     full_set, is_infinite_to, is_summit, least_uniform_bound,
                     members_at, restrict, tree)
-from fankit._budget import MAX_SCAN_DEPTH
+from fankit._budget import MAX_SCAN_DEPTH, RUN_METER, Meter
 from fankit.errors import BudgetExceededError
 from fankit.sets import avoid_height, descend, descent_height
 from fankit.specfile import parse_specdoc
@@ -229,6 +230,25 @@ def test_a_library_listing_is_charged_by_its_bits(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def test_a_library_listing_charges_one_meter(monkeypatch):
+    # outside a run the descent and the listing charge one meter, as they
+    # do inside a run, where the run's meter is set
+    monkeypatch.setenv("FANKIT_BUDGET", "700")
+    t = tree(full_set(), validate=False)
+
+    def refusal():
+        with pytest.raises(BudgetExceededError) as err:
+            tree_levels(t, 6)
+        return str(err.value)
+
+    def in_a_run():
+        RUN_METER.set(Meter())
+        return refusal()
+
+    assert refusal() == contextvars.copy_context().run(in_a_run) == \
+        "level listing at level 6: 704 words used, budget 700"
 
 
 def test_full_tree_levels_still_exceed_the_budget(monkeypatch):

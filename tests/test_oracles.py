@@ -149,11 +149,14 @@ def test_llpo_from_path_oracle_checks_precondition():
 
 
 def test_llpo_from_path_oracle_rejects_foreign_path():
-    from fankit import PathGen
     alpha = one_at(1)  # right arm of the probe tree dies immediately
 
+    class LyingGen:  # a generator that does not re-check its own bits
+        def take(self, n):
+            return (1,) * n
+
     def lying_oracle(t):
-        return PathGen(t, lambda u, trace: 1, fuel=8, check=False)
+        return LyingGen()
 
     with pytest.raises(CertificateError):
         llpo_from_path_oracle(alpha, lying_oracle, 12)

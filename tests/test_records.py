@@ -214,6 +214,21 @@ def test_no_module_imports_dataclasses_or_runs_generated_code():
                 assert node.func.id not in ("exec", "eval", "compile"), path
 
 
+def test_no_module_imports_argparse():
+    # argv and COMMAND= share one reader over cli.COMMANDS; the argparse
+    # layer and its names must not come back
+    for path in sorted((SRC / "fankit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "argparse" not in [alias.name for alias in node.names], path
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "argparse", path
+    cli = ast.parse((SRC / "fankit" / "cli.py").read_text(encoding="utf-8"))
+    names = {getattr(node, "name", getattr(node, "id", None)) for node in ast.walk(cli)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Name))}
+    assert not names & {"_Parser", "_Help", "_parser"}
+
+
 def test_only_the_budget_module_reads_the_budget_or_names_the_depth_cap():
     # one meter per run: no other module reads FANKIT_BUDGET or the
     # environment, or names the depth cap, and the per-scan budget
