@@ -9,9 +9,10 @@ one, the words used and the limit.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from contextvars import ContextVar
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, PreconditionError
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -19,6 +20,24 @@ DEFAULT_BUDGET = 1 << 20
 # of every length up to its depth, so its memory and time grow with the
 # square of the depth, which the word count does not see.
 MAX_SCAN_DEPTH = 1 << 10
+
+
+def read_count(text: str, what: str = "value") -> int:
+    """A count written as text: one or more ASCII digits, leading zeros
+    allowed.  Every count fankit reads from outside comes through here;
+    other text, or more digits than int() converts, is a ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} must be nonnegative, in digits 0-9, got {text!r:.40}")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} has {len(text)} digits, more than fankit reads") from None
+
+
+def check_nonnegative(n: int, what: str) -> None:
+    """Refuse a negative depth, horizon or length given to a library call."""
+    if n < 0:
+        raise PreconditionError(f"{what} must be nonnegative, got {n}")
 
 
 class Meter:
@@ -29,8 +48,8 @@ class Meter:
     def __init__(self):
         raw = os.environ.get("FANKIT_BUDGET", str(DEFAULT_BUDGET))
         try:
-            self.limit = int(raw) if raw.isdecimal() else 0
-        except ValueError:  # more digits than int() converts
+            self.limit = read_count(raw)
+        except ValueError:
             self.limit = 0
         if self.limit <= 0:
             raise BudgetExceededError(f"FANKIT_BUDGET must be a positive integer, got {raw!r:.40}")
@@ -60,6 +79,16 @@ RUN_METER: ContextVar[Meter | None] = ContextVar("fankit_run_meter", default=Non
 def meter() -> Meter:
     """The meter of the run in progress; outside a run, a fresh one."""
     return RUN_METER.get() or Meter()
+
+
+@contextmanager
+def one_meter():
+    """Every scan in the block charges the one meter yielded: the run's, else a fresh one."""
+    token = RUN_METER.set(meter())
+    try:
+        yield RUN_METER.get()
+    finally:
+        RUN_METER.reset(token)
 
 
 def check_depth(bits: int, operation: str) -> None:

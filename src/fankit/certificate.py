@@ -22,7 +22,7 @@ from itertools import zip_longest
 from typing import Callable
 
 from . import __version__
-from ._budget import check_depth, meter
+from ._budget import check_depth, meter, read_count
 from ._record import Record
 from .continuity import Functional, Leaf, Node, eval_word, least_escape
 from .errors import BudgetExceededError, FankitError
@@ -89,11 +89,10 @@ class Certificate(Record):
 
 
 def _count(text: str, what: str) -> int:
-    """A nonnegative integer written as the producer writes one: ASCII
-    digits, no sign and no leading zero."""
+    """A count written as the producer writes one: with no leading zero."""
     try:
-        value = int(text) if text.isascii() and text.isdigit() else None
-    except ValueError:  # more digits than int() converts
+        value = read_count(text, what)
+    except ValueError:
         value = None
     if value is None or str(value) != text:
         raise CertificateFormatError(f"{what} must be a nonnegative integer, got {text!r:.40}")

@@ -11,7 +11,7 @@ import sys
 from collections import namedtuple
 from contextvars import copy_context
 
-from ._budget import RUN_METER, Meter, check_depth
+from ._budget import RUN_METER, Meter, check_depth, read_count
 from .certificate import (Certificate, CertificateFormatError, check_bar_check,
                           check_coconvex_bound, check_complete_tree, check_deco,
                           check_defu, check_find_path, check_uc_bound,
@@ -38,17 +38,10 @@ class UsageError(FankitError):
     pass
 
 
-def nonnegative_int(text: str, what: str = "value") -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"{what} must be nonnegative, got {value}")
-    return value
-
-
 def _oracle_horizon(text: str) -> int:
     if not text.startswith("llpo:"):
         raise ValueError(f"unsupported oracle {text!r}; use llpo:H")
-    return nonnegative_int(text[len("llpo:"):], "oracle horizon")
+    return read_count(text[len("llpo:"):], "oracle horizon")
 
 
 def _do_scan(doc, name, limit, scan):
@@ -134,7 +127,7 @@ def _do_verify(doc, path) -> tuple[int, str]:
 # (show), and its value when the flag is absent (default; None: required).
 Flag = namedtuple("Flag", "take show default")
 _NAME = Flag(str, str, None)
-_COUNT = Flag(nonnegative_int, str, None)
+_COUNT = Flag(read_count, str, None)
 _ORACLE = Flag(_oracle_horizon, "llpo:{}".format, 16)
 _SWITCH = Flag(None, None, False)  # bare; written only when set
 _HELP = Flag(None, None, False)  # bare; argv only: ends the walk with the usage

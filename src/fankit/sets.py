@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
-from ._budget import check_depth, meter
+from ._budget import check_depth, check_nonnegative, meter
 from ._record import FrozenRecord, _set
 from .errors import PreconditionError
 from .words import EMPTY, Seq, Word, format_word, iter_level
@@ -65,8 +65,9 @@ def validate_claims(ds: DSet, horizon: int = DEFAULT_HORIZON,
     """
     key = (ds.member_fn, horizon)
     inside = None if tables is None else tables.get(key)
-    if ds.stab is not None and ds.stab < 0:
-        raise PreconditionError(f"stab must be nonnegative, got {ds.stab}")
+    check_nonnegative(horizon, "horizon")
+    if ds.stab is not None:
+        check_nonnegative(ds.stab, "stab")
     if not (ds.stab is not None or ds.extension_closed or ds.restriction_closed
             or ds.convex or ds.co_convex):
         return
@@ -351,6 +352,7 @@ def descend(keep: MemberFn, depth: int, root: Word = EMPTY) -> Iterator[Word]:
     Words of one length come out in lexicographic order; a caller that
     has its answer stops the walk by leaving the loop.
     """
+    check_nonnegative(depth, "depth")
     tick = meter().tick
     deepest = len(root) - 1  # the longest word expanded so far
     stack = [root]
@@ -450,6 +452,7 @@ def convexity_verdict(a: DSet, depth: int, mode: str = "convex") -> Verdict:
     """
     if mode not in ("convex", "co-convex"):
         raise PreconditionError(f"mode must be 'convex' or 'co-convex', got {mode!r}")
+    check_nonnegative(depth, "depth")
     want = 1 if mode == "convex" else 0
     for n in range(depth + 1):
         gap = _gap(bytes(map(a.member, iter_level(n))), want)

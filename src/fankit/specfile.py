@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Callable
 
+from ._budget import read_count
 from ._record import FrozenRecord, Record, _set
 from .continuity import Functional, Leaf, Node
 from .errors import FankitError, PreconditionError
@@ -117,12 +118,11 @@ class SpecDoc(Record):
 def _as_int(item) -> int | None:
     if not isinstance(item, _Token):
         return None
-    if item.kind == "ATOM":
-        try:
-            return int(item.text)
-        except ValueError:  # a digit int() does not read (a superscript), or too many
-            pass
-    raise SpecError(f"expected an integer, got {item.text!r:.40}", item.line, item.col)
+    try:
+        return read_count(item.text)
+    except ValueError:  # not ASCII digits (a name, a superscript), or too many
+        raise SpecError(f"expected an integer, got {item.text!r:.40}",
+                        item.line, item.col) from None
 
 
 def _as_bit(item) -> int | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from ._budget import RUN_METER, check_depth, meter
+from ._budget import check_depth, check_nonnegative, one_meter
 from ._record import FrozenRecord, _set
 from .errors import (CertificateError, FuelError, InconsistencyError, PreconditionError,
                      WitnessError)
@@ -56,15 +56,11 @@ def tree_levels(t: Tree, depth: int) -> list[list[Word]]:
     the depth cap is refused before any level is built; each member is
     charged by its length, so the budget bounds the bits the listing holds."""
     check_depth(depth, "level listing")
-    listing = meter()
-    token = RUN_METER.set(listing)
-    try:
-        levels = [[] for _ in range(depth + 1)]
+    levels = [[] for _ in range(depth + 1)]
+    with one_meter() as listing:
         for u in descend(t.member, depth):
             listing.tick("level listing", len(u), len(u))
             levels[len(u)].append(u)
-    finally:
-        RUN_METER.reset(token)
     return levels
 
 
@@ -158,6 +154,7 @@ def survival(t: Tree, u: Word) -> Callable[[int], bool]:
 
     def alive(d: int) -> bool:
         nonlocal top
+        check_nonnegative(d, "depth")
         while top < d:
             v = next(walk, None)
             if v is None:
@@ -195,7 +192,8 @@ def survivor_width(t: Tree, k: int, depth: int) -> int:
     """How many level-k members still have a descendant at level `depth`."""
     if k > depth:
         raise PreconditionError(f"need k <= depth, got k={k}, depth={depth}")
-    return sum(1 for u in members_at(t, k) if has_descendant(t, u, depth - k))
+    with one_meter():
+        return sum(1 for u in members_at(t, k) if has_descendant(t, u, depth - k))
 
 
 def escape_witness(t: Tree, scan_cap: int) -> Callable[[Seq], int]:
@@ -245,6 +243,7 @@ class PathGen:
         return bit
 
     def take(self, n: int) -> Word:
+        check_nonnegative(n, "bits")
         while len(self._bits) < n:
             self.next()
         return tuple(self._bits[:n])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Union
 
-from ._budget import meter
+from ._budget import check_nonnegative, meter
 from .errors import OutOfRangeError
 
 Word = tuple
@@ -160,6 +160,7 @@ def lex_less(u: Word, v: Word) -> bool:
 
 def iter_level(n: int) -> Iterator[Word]:
     """All words of length n in lexicographic order, lazily, charged up front."""
+    check_nonnegative(n, "level")
     meter().tick_exp(n, "level enumeration", n)
     return itertools.product((0, 1), repeat=n)
 

@@ -774,6 +774,61 @@ def test_non_utf8_text_and_unreadable_digits_exit_3(tmp_path):
                                              "expected an integer"), text
 
 
+def test_every_count_is_read_one_way(tmp_path, monkeypatch):
+    # a count is one or more ASCII digits wherever fankit reads one; each
+    # site refuses anything else with its own exit code and text, never
+    # with int()'s
+    spec = write_spec(tmp_path)
+    good = run(["uniform-bound", "--spec", spec, "--set", "len2", "--max", "8"])[1]
+    assert "BOUND=2\n" in good and "COMMAND=uniform-bound --set len2 --max 8\n" in good
+
+    def in_a_definition_file(v):
+        other = tmp_path / "count.fankit"
+        other.write_text(f"a = len_ge({v})\n", encoding="utf-8")
+        return run(["bar-check", "--spec", str(other), "--set", "a", "--depth", "2"])
+
+    def in_the_budget(v):
+        with monkeypatch.context() as env:
+            env.setenv("FANKIT_BUDGET", v)
+            return run(["bar-check", "--spec", spec, "--set", "len2", "--depth", "2"])
+
+    sites = {
+        "--depth": (lambda v: run(["bar-check", "--spec", spec, "--set", "len2", "--depth", v]),
+                    3, "ERROR=usage: argument --depth: value "),
+        "--oracle": (lambda v: run(["defu", "--spec", spec, "--set", "db", "--oracle", "llpo:" + v]),
+                     3, "ERROR=usage: argument --oracle: oracle horizon "),
+        "definition file": (in_a_definition_file, 3, "ERROR=spec: line 1, column 1"),
+        "BOUND=": (lambda v: verify_text(tmp_path, spec, good.replace("BOUND=2", "BOUND=" + v)),
+                   3, "ERROR=CertificateFormatError: BOUND must be a nonnegative integer, got "),
+        "COMMAND=": (lambda v: verify_text(tmp_path, spec, good.replace("--max 8", "--max " + v)),
+                     3, "ERROR=CertificateFormatError: COMMAND is not as the producer writes it"),
+        "FANKIT_BUDGET": (in_the_budget, 2,
+                          "ERROR=BudgetExceededError: FANKIT_BUDGET must be a positive integer, got "),
+    }
+    nines = "9" * 5000
+    # a definition file reads ' 3' as a space and the count 3, and hands
+    # '+', '-' and '_0' to the tokenizer, which refuses them before any
+    # count is read; these digits reach the count reader
+    exact = {("definition file", "\u0663"):
+             "ERROR=spec: line 1, column 12: expected an integer, got '\u0663'",
+             ("definition file", nines): "ERROR=spec: line 1, column 12: expected an integer, got "}
+    accepted = {("definition file", " 3")}
+    # When each site had a reader of its own, these cases failed: --depth
+    # and --oracle accepted ' 3', '+3', '1_0' and U+0663 and answered 5000
+    # nines with int()'s advice, a definition file read len_ge(U+0663) as
+    # len_ge(3), and FANKIT_BUDGET=U+0663 set a budget of 3.
+    for site, (call, code, text) in sites.items():
+        for v in (" 3", "+3", "1_0", "\u0663", "-1", nines):
+            got = call(v)
+            assert "set_int_max_str_digits" not in got[1] and "invalid literal" not in got[1], got
+            if (site, v) in accepted:
+                assert got[1].startswith("FANKIT-CERT\nCOMMAND=bar-check"), (site, v, got)
+                continue
+            want = exact.get((site, v), text)
+            assert got[0] == code and got[1].startswith(want), (site, v[:20], got[1][:200])
+            assert got[1].count("\n") == 1, (site, v[:20], got[1][:200])
+
+
 def test_reruns_are_byte_identical(tmp_path):
     spec = write_spec(tmp_path)
     for argv in (

@@ -12,8 +12,8 @@ import tracemalloc
 import pytest
 
 from fankit import (DSet, bar_verdict, closure, complement, complete, finite_set,
-                    full_set, is_infinite_to, is_summit, least_uniform_bound,
-                    members_at, restrict, tree)
+                    full_set, is_infinite_to, is_summit, least_uniform_bound, len_ge,
+                    members_at, restrict, survivor_width, tree)
 from fankit._budget import MAX_SCAN_DEPTH, RUN_METER, Meter
 from fankit.errors import BudgetExceededError
 from fankit.sets import avoid_height, descend, descent_height
@@ -249,6 +249,25 @@ def test_a_library_listing_charges_one_meter(monkeypatch):
 
     assert refusal() == contextvars.copy_context().run(in_a_run) == \
         "level listing at level 6: 704 words used, budget 700"
+
+
+def test_survivor_width_charges_one_meter(monkeypatch):
+    # outside a run, the listing of level k and the survival walks below
+    # its members charge one meter, as they do inside a run
+    monkeypatch.setenv("FANKIT_BUDGET", "300")
+    t = tree(complement(len_ge(8)), validate=False)
+
+    def refusal():
+        with pytest.raises(BudgetExceededError) as err:
+            survivor_width(t, 4, 8)
+        return str(err.value)
+
+    def in_a_run():
+        RUN_METER.set(Meter())
+        return refusal()
+
+    assert refusal() == contextvars.copy_context().run(in_a_run) == \
+        "descent at level 5: 301 words used, budget 300"
 
 
 def test_full_tree_levels_still_exceed_the_budget(monkeypatch):

@@ -229,6 +229,18 @@ def test_no_module_imports_argparse():
     assert not names & {"_Parser", "_Help", "_parser"}
 
 
+def test_counts_have_one_reader():
+    # _budget.read_count reads every count given as text: the argv
+    # converter that came before it must not come back, and no module
+    # reads digits by isdecimal, which lets other scripts' digits through
+    for path in sorted((SRC / "fankit").glob("*.py")):
+        names = {getattr(node, "name", getattr(node, "id", getattr(node, "attr", None)))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))}
+        assert "isdecimal" not in names, path
+        if path.name == "cli.py":
+            assert "nonnegative_int" not in names and "read_count" in names
+
+
 def test_only_the_budget_module_reads_the_budget_or_names_the_depth_cap():
     # one meter per run: no other module reads FANKIT_BUDGET or the
     # environment, or names the depth cap, and the per-scan budget

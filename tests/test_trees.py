@@ -6,12 +6,14 @@ import random
 
 import pytest
 
-from fankit import (DSet, complete, convexity_verdict,
+from fankit import (DSet, bar_verdict, complete, convexity_verdict, dset,
                     escape_witness, find_path_convex_unique, finite_set,
-                    full_set, has_descendant, is_infinite_to, is_summit,
-                    members_at, survival_verdict, survivor_width, tree)
+                    full_set, has_descendant, is_infinite_to, is_summit, iter_level,
+                    least_uniform_bound, len_ge, members_at, survival_verdict,
+                    survivor_width, tree, uniform_bound)
 from fankit.errors import (BudgetExceededError, CertificateError, FuelError,
                            InconsistencyError, PreconditionError)
+from fankit.trees import tree_levels
 
 from bruteforce import (all_words, brute_longest_path_prefix_ok,
                         brute_survivors, brute_tree_infinite_to, words_at)
@@ -202,6 +204,33 @@ def test_path_generator_fuel():
     gen.take(4)
     with pytest.raises(FuelError):
         gen.next()
+
+
+def test_library_scans_refuse_a_negative_depth():
+    # a negative depth has no answer: YES(1) from bar_verdict, say, would
+    # name a bound that is not one, and take(-1) would cut the path short
+    t = full_tree()
+    gen = find_path_convex_unique(zero_ray_tree(), escape_witness(zero_ray_tree(), 64))
+    gen.take(5)
+    for what, call in (
+            ("depth", lambda: bar_verdict(len_ge(2), -1)),
+            ("depth", lambda: uniform_bound(len_ge(2), -1)),
+            ("depth", lambda: least_uniform_bound(len_ge(2), -1)),
+            ("depth", lambda: is_infinite_to(t, -1)),
+            ("depth", lambda: convexity_verdict(len_ge(2), -1)),
+            ("depth", lambda: survival_verdict(t, (), -1)),
+            ("depth", lambda: has_descendant(t, (), -1)),
+            ("depth", lambda: tree_levels(t, -1)),
+            ("depth", lambda: members_at(t, -1)),
+            ("depth", lambda: survivor_width(t, -1, 2)),
+            ("level", lambda: iter_level(-1)),
+            ("horizon", lambda: dset(lambda u: True, stab=0, horizon=-1)),
+            ("horizon", lambda: tree(full_set(), horizon=-1)),
+            ("bits", lambda: gen.take(-1))):
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert str(err.value) == f"{what} must be nonnegative, got -1"
+    assert gen.take(5) == (0,) * 5
 
 
 def test_completion_suite_random_trees():
