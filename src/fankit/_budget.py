@@ -21,17 +21,21 @@ DEFAULT_BUDGET = 1 << 20
 # square of the depth, which the word count does not see.
 MAX_SCAN_DEPTH = 1 << 10
 
+# The most digits a count may have: the lowest limit PYTHONINTMAXSTRDIGITS
+# accepts (sys.int_info.str_digits_check_threshold), so no interpreter
+# setting changes what int() and str() do to a count fankit reads.
+MAX_COUNT_DIGITS = 640
+
 
 def read_count(text: str, what: str = "value") -> int:
     """A count written as text: one or more ASCII digits, leading zeros
     allowed.  Every count fankit reads from outside comes through here;
-    other text, or more digits than int() converts, is a ValueError."""
+    other text, or more than MAX_COUNT_DIGITS digits, is a ValueError."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{what} must be nonnegative, in digits 0-9, got {text!r:.40}")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{what} has {len(text)} digits, more than fankit reads") from None
+    if len(text) > MAX_COUNT_DIGITS:
+        raise ValueError(f"{what} has {len(text)} digits, more than fankit reads")
+    return int(text)
 
 
 def check_nonnegative(n: int, what: str) -> None:

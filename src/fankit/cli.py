@@ -19,8 +19,8 @@ from .certificate import (Certificate, CertificateFormatError, check_bar_check,
 from .continuity import deco_decide, defu_via_wkl, path_modulus, query_depth, \
     uc_bound_bruteforce, uc_via_fan
 from .errors import (BudgetExceededError, CertificateError, FankitError,
-                     FuelError, InconsistencyError, OutOfRangeError,
-                     PreconditionError, WitnessError)
+                     InconsistencyError, OutOfRangeError, PreconditionError,
+                     WitnessError)
 from .fan import coconvex_bound, fan_bruteforce
 from .oracles import WKLOracle, llpo_bounded_oracle, wkl_from_llpo, \
     wkl_oracle_from_llpo
@@ -59,7 +59,7 @@ def _do_complete_tree(doc, name, depth):
 
 def _do_find_path(doc, name, bits, horizon):
     check_depth(bits, "find-path")
-    gen = wkl_from_llpo(doc.get_tree(name), llpo_bounded_oracle(horizon), fuel=max(64, bits))
+    gen = wkl_from_llpo(doc.get_tree(name), llpo_bounded_oracle(horizon))
     path = gen.take(bits)
     return "YES", [("PATH", format_word(path))], ";".join(gen.trace)
 
@@ -263,7 +263,7 @@ def _run(argv: list[str]) -> tuple[int, str]:
     except (UsageError, PreconditionError, SpecError, OutOfRangeError,
             CertificateFormatError) as exc:
         return EXIT_USAGE, f"ERROR={type(exc).__name__}: {exc}\n"
-    except (BudgetExceededError, FuelError, RecursionError) as exc:  # nesting too deep
+    except (BudgetExceededError, RecursionError) as exc:  # nesting too deep
         return EXIT_UNKNOWN, f"ERROR={type(exc).__name__}: {exc}\n"
     except (CertificateError, InconsistencyError, WitnessError) as exc:
         return EXIT_NO, f"ERROR={type(exc).__name__}: {exc}\n"

@@ -15,8 +15,8 @@ from ._record import FrozenRecord, _set
 from .errors import (CertificateError, InconsistencyError, PreconditionError,
                      WitnessError)
 from .sets import DSet, Outcome, avoid_height, closure, complement, uniform_bound
-from .trees import (DEFAULT_FUEL, PathGen, Tree, complete, find_path_convex_unique,
-                    has_descendant, survival, tree)
+from .trees import (PathGen, Tree, complete, find_path_convex_unique, has_descendant,
+                    survival, tree)
 from .words import Seq, Word, format_word, restrict
 
 
@@ -100,8 +100,7 @@ def fan_from_lpl(b: Bar, lpl: Callable[[Tree], PathGen]) -> int:
 
 
 def wkl_unique_from_fan(t: Tree, fan: FanOracle,
-                        bar_wit: Callable[[Word], Callable[[Seq], int]] | None = None,
-                        fuel: int = DEFAULT_FUEL) -> PathGen:
+                        bar_wit: Callable[[Word], Callable[[Seq], int]] | None = None) -> PathGen:
     """Path generator for a tree asserted infinite with at most one path,
     powered by a fan oracle.
 
@@ -134,10 +133,10 @@ def wkl_unique_from_fan(t: Tree, fan: FanOracle,
                 "the uniqueness assertion or the oracle is wrong")
         return 0 if alive0 else 1
 
-    return PathGen(t, advance, fuel=fuel)
+    return PathGen(t, advance)
 
 
-def coconvex_bound(b: Bar, fuel: int = DEFAULT_FUEL) -> int:
+def coconvex_bound(b: Bar) -> int:
     """Uniform bound for a co-convex bar, with no oracle anywhere.
 
     The closure keeps co-convexity, its complement is a convex tree, and
@@ -155,16 +154,17 @@ def coconvex_bound(b: Bar, fuel: int = DEFAULT_FUEL) -> int:
             "carrier needs a stabilization depth (the completion requires one)")
     t = tree(complement(closed), validate=False)
     completed = complete(t)
-    scan_slack = closed.stab + 4
 
     def exit_wit(alpha: Seq) -> int:
+        # a probe u,b,c,c,... still in completed past the stab and its first tail
+        # bit c stays in it: t's cones are frozen there, and the zero ray needs c = 0
         base = b.query(alpha)
-        for m in range(base, base + scan_slack + fuel + 1):
+        for m in range(base, max(base, len(alpha.prefix) + 1, closed.stab) + 1):
             if not completed.member(restrict(alpha, m)):
                 return m
         raise WitnessError("probe never left the completed tree")
 
-    gen = find_path_convex_unique(completed, exit_wit, fuel=fuel)
+    gen = find_path_convex_unique(completed, exit_wit)
     n = b.query(gen.as_seq())
     _, escape = avoid_height(closed, n)
     if escape is not None:

@@ -11,11 +11,11 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable
 
-from ._budget import meter
+from ._budget import check_nonnegative, meter
 from ._record import FrozenRecord, _set
 from .errors import CertificateError, PreconditionError
 from .sets import DSet
-from .trees import DEFAULT_FUEL, PathGen, Tree, complete, survival
+from .trees import PathGen, Tree, complete, survival
 from .words import Seq, Word, format_word
 
 
@@ -45,6 +45,7 @@ def _single_one(alpha: Seq, horizon: int) -> int | None:
     """The index of the 1 among alpha's indices 0..horizon, None when there
     is none; a second 1 breaks every LLPO instance's precondition.  The
     horizon + 1 indices are charged before any is read."""
+    check_nonnegative(horizon, "horizon")
     meter().tick(f"LLPO search to horizon {horizon}", n=horizon + 1)
     hit = None
     for i in range(horizon + 1):
@@ -75,7 +76,7 @@ def llpo_bounded_oracle(horizon: int) -> LLPOOracle:
                       tag=f"bounded(h={horizon})")
 
 
-def wkl_from_llpo(t: Tree, oracle: LLPOOracle, fuel: int = DEFAULT_FUEL) -> PathGen:
+def wkl_from_llpo(t: Tree, oracle: LLPOOracle) -> PathGen:
     """Path generator: at each node, encode the two children's survival
     depths into a sequence with at most one 1 and let the oracle pick
     the branch.  EVENS descends left, ODDS right."""
@@ -95,11 +96,11 @@ def wkl_from_llpo(t: Tree, oracle: LLPOOracle, fuel: int = DEFAULT_FUEL) -> Path
         trace.append(f"llpo[{oracle.tag}]@{len(u)}={answer.name}")
         return 0 if answer is Parity.EVENS else 1
 
-    return PathGen(t, advance, fuel=fuel)
+    return PathGen(t, advance)
 
 
-def wkl_oracle_from_llpo(oracle: LLPOOracle, fuel: int = DEFAULT_FUEL) -> WKLOracle:
-    return WKLOracle(lambda t: wkl_from_llpo(t, oracle, fuel=fuel),
+def wkl_oracle_from_llpo(oracle: LLPOOracle) -> WKLOracle:
+    return WKLOracle(lambda t: wkl_from_llpo(t, oracle),
                      tag=f"wkl-from-llpo[{oracle.tag}]")
 
 

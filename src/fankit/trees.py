@@ -13,12 +13,9 @@ from typing import Callable
 
 from ._budget import check_depth, check_nonnegative, one_meter
 from ._record import FrozenRecord, _set
-from .errors import (CertificateError, FuelError, InconsistencyError, PreconditionError,
-                     WitnessError)
-from .sets import DEFAULT_HORIZON, DSet, Verdict, descend, descent_height, validate_claims
+from .errors import CertificateError, InconsistencyError, PreconditionError, WitnessError
+from .sets import DEFAULT_HORIZON, DSet, Verdict, descend, validate_claims
 from .words import EMPTY, Seq, Word, format_word, restrict
-
-DEFAULT_FUEL = 64
 
 
 class Tree(FrozenRecord):
@@ -71,11 +68,8 @@ def members_at(t: Tree, n: int) -> list[Word]:
 
 def is_infinite_to(t: Tree, depth: int) -> Verdict:
     """YES(depth) when every level up to depth has a member, else NO(k)
-    with the least empty level k."""
-    top, _ = descent_height(t.member, depth)
-    if top == depth:
-        return Verdict.yes(bound=depth)
-    return Verdict.no(bound=top + 1)
+    with the least empty level k: how deep the root survives."""
+    return survival_verdict(t, EMPTY, depth)
 
 
 def _require_stab(t: Tree) -> int:
@@ -210,17 +204,16 @@ def escape_witness(t: Tree, scan_cap: int) -> Callable[[Seq], int]:
 class PathGen:
     """Single-consumer lazy path producer.
 
-    Each next() call asks the advance rule for one more bit and verifies
-    the grown prefix is still a member of the tree.
-    All oracle and witness traffic is recorded in `trace` for replay.
+    Each next() call refuses a bit past the depth cap, asks the advance
+    rule for one more bit (its scans charge the meter) and verifies the
+    grown prefix is still a member of the tree.  All oracle and witness
+    traffic is recorded in `trace` for replay.
     """
 
-    def __init__(self, t: Tree, advance: Callable[[Word, list], int],
-                 fuel: int = DEFAULT_FUEL):
+    def __init__(self, t: Tree, advance: Callable[[Word, list], int]):
         self._tree = t
         self._advance = advance
         self._bits: list[int] = []
-        self._fuel = fuel
         self.trace: list[str] = []
         if not t.member(EMPTY):
             raise InconsistencyError(EMPTY, "tree has no root, cannot carry a path")
@@ -230,8 +223,7 @@ class PathGen:
         return tuple(self._bits)
 
     def next(self) -> int:
-        if len(self._bits) >= self._fuel:
-            raise FuelError(f"path generator exhausted its fuel of {self._fuel} bits")
+        check_depth(len(self._bits) + 1, "path")
         u = tuple(self._bits)
         bit = self._advance(u, self.trace)
         if bit not in (0, 1):
@@ -255,8 +247,7 @@ class PathGen:
         return Seq.from_rule(rule)
 
 
-def find_path_convex_unique(t: Tree, wit: Callable[[Seq], int],
-                            fuel: int = DEFAULT_FUEL) -> PathGen:
+def find_path_convex_unique(t: Tree, wit: Callable[[Seq], int]) -> PathGen:
     """Path generator for a convex tree asserted infinite with at most one
     path, driven by a witness producing prefixes outside the tree.
 
@@ -303,4 +294,4 @@ def find_path_convex_unique(t: Tree, wit: Callable[[Seq], int],
             raise InconsistencyError(u, "no child retains members at the probe level")
         return 0 if alive0 else 1
 
-    return PathGen(t, advance, fuel=fuel)
+    return PathGen(t, advance)

@@ -258,6 +258,18 @@ def test_run_coconvex_bound(tmp_path):
     assert "BOUND=3" in text
 
 
+@pytest.mark.parametrize("k", [65, 128])
+def test_coconvex_bound_follows_a_path_past_64_bits(tmp_path, k):
+    # const(k) names level k on every sequence, and the word of k - 1
+    # zeros is outside the carrier, so k is the bound; the ray it is read
+    # from is followed k bits deep, past any fixed 64-bit path limit
+    spec = write_spec(tmp_path, f"b = bar(coconvex(stab(union(len_ge({k}), "
+                                f"count_ones_ge(1)), {k})), const({k}))\n")
+    code, text = run(["coconvex-bound", "--spec", spec, "--bar", "b"])
+    assert code == 0 and f"VERDICT=YES\nBOUND={k}\n--\n" in text, text
+    assert verify_text(tmp_path, spec, text) == (0, "VERIFY=OK\n")
+
+
 def test_run_deco_and_defu(tmp_path):
     spec = write_spec(tmp_path)
     code, text = run(["deco", "--spec", spec, "--fn", "q2"])
@@ -851,6 +863,33 @@ def run_module(*args: str, code: str | None = None) -> subprocess.CompletedProce
     head = ["-c", code] if code is not None else ["-m", "fankit.cli"]
     return subprocess.run([sys.executable, "-X", "dev", *head, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("setting", ["0", "640", None])
+def test_a_count_has_at_most_640_digits_whatever_the_interpreter_reads(
+        tmp_path, monkeypatch, setting):
+    # 640 is the lowest digit limit PYTHONINTMAXSTRDIGITS accepts, so
+    # under every setting fankit reads the same counts and writes them back
+    spec, cert = write_spec(tmp_path, "a = len_ge(1)\n"), str(tmp_path / "cert.txt")
+    code = f"""if True:
+        from pathlib import Path
+        from fankit.cli import run
+        print(run(["bar-check", "--spec", {spec!r}, "--set", "a", "--depth", "9" * 641]))
+        code, text = run(["bar-check", "--spec", {spec!r}, "--set", "a", "--depth", "9" * 640])
+        Path({cert!r}).write_text(text, encoding="utf-8")
+        print((code, text.partition("\\n--\\n")[0]))
+        print(run(["verify", "--spec", {spec!r}, "--cert", {cert!r}]))
+        """
+    if setting is None:
+        monkeypatch.delenv("PYTHONINTMAXSTRDIGITS", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", setting)
+    done = run_module(code=code)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    refusal = (3, "ERROR=usage: argument --depth: value has 641 digits, more than fankit reads\n")
+    answer = (0, f"FANKIT-CERT\nCOMMAND=bar-check --set a --depth {'9' * 640}\n"
+                 "VERDICT=YES\nBOUND=1")
+    assert done.stdout.splitlines() == [repr(refusal), repr(answer), repr((0, "VERIFY=OK\n"))]
 
 
 def test_help_returns_its_text(tmp_path):

@@ -268,6 +268,20 @@ def test_only_the_budget_module_reads_the_budget_or_names_the_depth_cap():
     assert budget.MAX_SCAN_DEPTH == 1024 and "FANKIT_BUDGET" in inspect.getsource(budget)
 
 
+def test_paths_carry_no_fuel():
+    # a path is bounded by the run's meter and the depth cap, not by a
+    # bit count of its own; no CLI path raises FuelError, so the CLI
+    # neither names nor catches it
+    for fn in (fankit.PathGen, fankit.find_path_convex_unique, fankit.wkl_from_llpo,
+               fankit.wkl_oracle_from_llpo, fankit.wkl_unique_from_fan, fankit.coconvex_bound):
+        assert "fuel" not in inspect.signature(fn).parameters, fn
+    assert not hasattr(fankit.trees, "DEFAULT_FUEL")
+    cli = ast.parse((SRC / "fankit" / "cli.py").read_text(encoding="utf-8"))
+    names = {getattr(node, "id", getattr(node, "name", getattr(node, "attr", None)))
+             for node in ast.walk(cli)}
+    assert "FuelError" not in names
+
+
 def recursive_functions(module: ast.Module) -> set[str]:
     """The functions of a module that call themselves, directly or through
     other functions of the module.  A call by name or by attribute (such

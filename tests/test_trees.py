@@ -6,13 +6,14 @@ import random
 
 import pytest
 
-from fankit import (DSet, bar_verdict, complete, convexity_verdict, dset,
+from fankit import (DSet, Seq, bar_verdict, complete, convexity_verdict, dset,
                     escape_witness, find_path_convex_unique, finite_set,
                     full_set, has_descendant, is_infinite_to, is_summit, iter_level,
-                    least_uniform_bound, len_ge, members_at, survival_verdict,
-                    survivor_width, tree, uniform_bound)
-from fankit.errors import (BudgetExceededError, CertificateError, FuelError,
-                           InconsistencyError, PreconditionError)
+                    least_uniform_bound, len_ge, llpo_bounded, llpo_bounded_oracle,
+                    llpo_from_path_oracle, members_at, survival_verdict,
+                    survivor_width, tree, uniform_bound, wkl_from_llpo)
+from fankit.errors import (BudgetExceededError, CertificateError, InconsistencyError,
+                           PreconditionError)
 from fankit.trees import tree_levels
 
 from bruteforce import (all_words, brute_longest_path_prefix_ok,
@@ -55,6 +56,9 @@ def test_is_infinite_to():
     v = is_infinite_to(tree(finite_set([(), (0,)]), validate=False), 3)
     assert v.is_no and v.bound == 2
     assert is_infinite_to(zero_ray_tree(), 8).is_yes
+    # a member at the stab owns its cone, so no depth is too deep to answer
+    assert is_infinite_to(tree(full_set()), 5000).is_yes
+    assert is_infinite_to(tree(full_set()), 5000).bound == 5000
 
 
 def test_summit_of_empty_tree_is_root():
@@ -193,17 +197,22 @@ def test_find_path_flags_dead_tree():
     t = tree(DSet(lambda u: len(u) <= 1, restriction_closed=True, convex=True),
              validate=False)
     wit = escape_witness(t, 16)
-    gen = find_path_convex_unique(t, wit, fuel=8)
+    gen = find_path_convex_unique(t, wit)
     with pytest.raises(InconsistencyError):
         gen.take(3)
 
 
-def test_path_generator_fuel():
-    t = zero_ray_tree()
-    gen = find_path_convex_unique(t, escape_witness(t, 64), fuel=4)
-    gen.take(4)
-    with pytest.raises(FuelError):
-        gen.next()
+def test_a_path_stops_at_the_depth_cap():
+    # a path is bounded like any scan: by the meter its advance rule
+    # charges and by the depth cap, not by a bit count of its own
+    gen = wkl_from_llpo(full_tree(), llpo_bounded_oracle(4))
+    assert gen.take(100) == (0,) * 100
+    assert gen.take(1024) == (0,) * 1024
+    with pytest.raises(BudgetExceededError) as err:
+        gen.take(1025)
+    assert str(err.value) == "path would go 1025 bits deep, past the cap of 1024"
+    # bit 1025's LLPO question was never asked
+    assert len(gen.trace) == 1024 and gen.prefix == (0,) * 1024
 
 
 def test_library_scans_refuse_a_negative_depth():
@@ -212,6 +221,8 @@ def test_library_scans_refuse_a_negative_depth():
     t = full_tree()
     gen = find_path_convex_unique(zero_ray_tree(), escape_witness(zero_ray_tree(), 64))
     gen.take(5)
+    zeros = Seq.eventually_constant((), 0)
+    path_oracle = lambda probe: wkl_from_llpo(probe, llpo_bounded_oracle(4))  # noqa: E731
     for what, call in (
             ("depth", lambda: bar_verdict(len_ge(2), -1)),
             ("depth", lambda: uniform_bound(len_ge(2), -1)),
@@ -226,6 +237,10 @@ def test_library_scans_refuse_a_negative_depth():
             ("level", lambda: iter_level(-1)),
             ("horizon", lambda: dset(lambda u: True, stab=0, horizon=-1)),
             ("horizon", lambda: tree(full_set(), horizon=-1)),
+            ("horizon", lambda: llpo_bounded(zeros, -1)),
+            ("horizon", lambda: llpo_bounded_oracle(-1).decide(zeros)),
+            ("horizon", lambda: wkl_from_llpo(t, llpo_bounded_oracle(-1)).take(3)),
+            ("horizon", lambda: llpo_from_path_oracle(zeros, path_oracle, -1)),
             ("bits", lambda: gen.take(-1))):
         with pytest.raises(PreconditionError) as err:
             call()
