@@ -9,8 +9,6 @@ be replayed and reconstructed.
 
 from __future__ import annotations
 
-from itertools import product
-from operator import and_
 from typing import Callable, Iterator, Union
 
 from ._budget import meter
@@ -18,7 +16,7 @@ from ._record import FrozenRecord, _set
 from .errors import CertificateError, FuelError, OutOfRangeError, PreconditionError
 from .fan import Bar, FanOracle, minimal_witness
 from .oracles import WKLOracle
-from .sets import DSet, _index_of, _word_at, interior
+from .sets import DSet, _lowest, _ones, _value, _word, interior, level_rows
 from .trees import Tree
 from .words import EMPTY, ONE, ZERO, Seq, Word, concat, format_word, iter_level, restrict
 
@@ -431,26 +429,28 @@ class DefuVerdict(FrozenRecord):
         _set(self, "witness", witness)
 
 
-def _membership_table(d: DSet, s: int) -> bytearray:
-    """d's membership of every word up to length s, one byte per word, in
-    the level-order layout of sets.validate_claims.  Each word is asked
-    once, a level at a time; level order is shortlex order.  Every level
-    is charged before the first is asked.  The membership function is
-    called directly, as DSet.member would add a Python call to each word."""
+def _membership_rows(d: DSet, s: int) -> list[int]:
+    """d's levels 0..s as masks (sets.level_rows), every level charged
+    before the first is built."""
     m, operation = meter(), f"defu escape scan to depth {s}"
     for n in range(s + 1):
         m.tick_exp(n, operation, n)
-    table = bytearray()
-    for n in range(s + 1):
-        table += bytes(map(bool, map(d.member_fn, product((0, 1), repeat=n))))
-    return table
+    return level_rows(d, s)
+
+
+def _first_escape(rows: list[int]) -> Word | None:
+    """The first word missing from the levels, shortest first and then in
+    lexicographic order."""
+    for n, row in enumerate(rows):
+        if row != _ones(n):
+            return _word(_lowest(row ^ _ones(n)), n)
+    return None
 
 
 def least_escape(d: DSet, s: int) -> Word | None:
     """First word outside d, shortest first and then in lexicographic
     order, among the words up to the stabilization depth s."""
-    at = _membership_table(d, s).find(0)
-    return None if at < 0 else _word_at(at)
+    return _first_escape(_membership_rows(d, s))
 
 
 def defu_via_wkl(d: DSet, wkl: WKLOracle) -> DefuVerdict:
@@ -460,45 +460,44 @@ def defu_via_wkl(d: DSet, wkl: WKLOracle) -> DefuVerdict:
     early as any escape seen at their length; any path through it
     funnels past an escaping prefix whenever one exists at all, so a
     bounded scan along the path settles the question.  Every question
-    about d reads one table of its words up to the stabilization depth.
+    about d reads one table of its levels up to the stabilization depth.
     """
     if d.stab is None:
         raise PreconditionError("set needs a declared stabilization depth")
     s = d.stab
-    inside = _membership_table(d, s)
-    at = inside.find(0)
-    e = None if at < 0 else len(_word_at(at))  # the length of the least escape
+    rows = _membership_rows(d, s)
+    escape = _first_escape(rows)
+    e = None if escape is None else len(escape)  # the length of the least escape
 
     def t_member(u: Word) -> bool:
         # every word shorter than e is in d, so a prefix of u escapes by
         # length e exactly when u[:e] does
-        return e is None or len(u) < e or not inside[_index_of(u[:e])]
+        return e is None or len(u) < e or not rows[e] >> _value(u[:e]) & 1
 
     guide = Tree(DSet(t_member, stab=(0 if e is None else e), restriction_closed=True))
     alpha = wkl.solve(guide).as_seq()
-    # the interior of d: d itself at level s, and above it, a level at a
-    # time, inner[i] = inside[i] and inner[2i + 1] and inner[2i + 2]
-    inner = bytearray(inside)
-    for n in range(s - 1, -1, -1):
-        lo, hi = (1 << n) - 1, (2 << n) - 1  # level n; level n + 1 is hi..2hi
-        kids = inner[hi:2 * hi + 1]
-        inner[lo:hi] = bytes(map(and_, inside[lo:hi], map(and_, kids[0::2], kids[1::2])))
+
+    def interior_at(n: int, v: int) -> bool:
+        """Is the word at bit v of level n in d's interior: are all its
+        extensions down to level s in d?"""
+        return all(rows[m] >> (v << (m - n)) & _ones(m - n) == _ones(m - n)
+                   for m in range(n, s + 1))
 
     def along_path():
-        """Positions of alpha's prefixes of length 0..s; a bit is pulled
-        from the path only when the next prefix is asked for."""
-        i = 0
+        """Levels and bits of alpha's prefixes of length 0..s; a bit is
+        pulled from the path only when the next prefix is asked for."""
+        v = 0
         for n in range(s + 1):
-            yield i
+            yield n, v
             if n < s:
-                i = 2 * i + 1 + alpha.at(n)
+                v = 2 * v + alpha.at(n)
 
-    if not any(inner[i] for i in along_path()):
+    if not any(interior_at(n, v) for n, v in along_path()):
         raise CertificateError(
             "the interior is not a bar along the produced path; "
             "the bar assertion on the interior was false")
-    for n, i in enumerate(along_path()):
-        if not inside[i]:
+    for n, v in along_path():
+        if not rows[n] >> v & 1:
             return DefuVerdict(exists=True, witness=restrict(alpha, n))
     return DefuVerdict(exists=False)
 

@@ -2,39 +2,46 @@
 
 A DSet is a total membership function plus optional structural metadata:
 a stabilization depth (membership is extension-invariant past it) and
-flags for extension/restriction closure and convexity.  Flags are
-validated eagerly to a construction horizon and trusted beyond it;
-lies beyond the horizon surface later as certificate-check failures.
+flags for extension/restriction closure and convexity, and, for the
+sets the constructors here build, a level evaluator that gives whole
+levels as bit masks.  Flags are validated eagerly to a construction
+horizon and trusted beyond it; lies beyond the horizon surface later as
+certificate-check failures.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from operator import and_, or_, xor
 from typing import Callable, Iterable, Iterator
 
 from ._budget import check_depth, check_nonnegative, meter
 from ._record import FrozenRecord, _set
 from .errors import PreconditionError
-from .words import EMPTY, Seq, Word, format_word, iter_level
+from .words import EMPTY, Seq, Word, format_word
 
 DEFAULT_HORIZON = 8
 
 MemberFn = Callable[[Word], bool]
+# levels_fn(depth) yields the bit masks of levels 0..depth, one at a time
+LevelsFn = Callable[[int], Iterator[int]]
 
 
 class DSet(FrozenRecord):
     _fields = ("member_fn", "stab", "extension_closed", "restriction_closed",
-               "convex", "co_convex")
+               "convex", "co_convex", "levels_fn")
 
     def __init__(self, member_fn: MemberFn, stab: int | None = None,
                  extension_closed: bool = False, restriction_closed: bool = False,
-                 convex: bool = False, co_convex: bool = False):
+                 convex: bool = False, co_convex: bool = False,
+                 levels_fn: LevelsFn | None = None):
         _set(self, "member_fn", member_fn)
         _set(self, "stab", stab)
         _set(self, "extension_closed", extension_closed)
         _set(self, "restriction_closed", restriction_closed)
         _set(self, "convex", convex)
         _set(self, "co_convex", co_convex)
+        _set(self, "levels_fn", levels_fn)
 
     def member(self, u: Word) -> bool:
         return bool(self.member_fn(u))
@@ -50,80 +57,139 @@ class DSet(FrozenRecord):
         return f"DSet[{meta.strip() or 'plain'}]"
 
 
+# ---------------------------------------------------------------------------
+# Whole levels as bit masks.  Level n of a set is one int of 2^n bits: bit v
+# is the word whose bits, first bit most significant, spell v, so lex order
+# is index order and the children of bit v are bits 2v and 2v + 1.
+
+def _ones(n: int) -> int:
+    """The full level n."""
+    return (1 << (1 << n)) - 1
+
+
+def _lowest(m: int) -> int:
+    """The index of the lowest set bit of m > 0: the lex-first word."""
+    return (m & -m).bit_length() - 1
+
+
+def _word(v: int, n: int) -> Word:
+    """The length-n word at bit v."""
+    return tuple((v >> (n - 1 - k)) & 1 for k in range(n))
+
+
+def _value(u: Word) -> int:
+    """The bit of the word u in its level."""
+    v = 0
+    for b in u:
+        v = 2 * v + b
+    return v
+
+
+# translate tables: a byte's low (high) four bits, each doubled
+_DOUBLED = bytes(sum((x >> k & 1) * (3 << 2 * k) for k in range(4)) for x in range(16))
+_DOUBLE_LOW = _DOUBLED * 16
+_DOUBLE_HIGH = bytes(_DOUBLED[b >> 4] for b in range(256))
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _spread(m: int, n: int) -> int:
+    """Level n's mask carried down to level n + 1: each word's bit copied
+    to both its children."""
+    data = m.to_bytes(max(1, 1 << n >> 3), "little")
+    out = bytearray(2 * len(data))
+    out[0::2] = data.translate(_DOUBLE_LOW)
+    out[1::2] = data.translate(_DOUBLE_HIGH)
+    return int.from_bytes(out, "little")
+
+
+def level_rows(ds: DSet, depth: int, start: int = 0) -> list[int]:
+    """The masks of ds's levels start..depth; the caller charges them first.
+
+    A set with a level evaluator builds each level with a few big-int
+    operations.  Any other set is asked each word of those levels once, in
+    preorder (the order of a descent, so a closure tests its base once per
+    word; from start = depth, lex order).
+    """
+    if ds.levels_fn is not None:
+        return list(ds.levels_fn(depth))[start:]
+    rows = [bytearray(1 << n) for n in range(start, depth + 1)]
+    stack = [(EMPTY, 0)]
+    while stack:
+        u, v = stack.pop()
+        n = len(u)
+        if n >= start:
+            rows[n - start][v] = ds.member(u)
+        if n < depth:
+            stack.append((u + (1,), 2 * v + 1))
+            stack.append((u + (0,), 2 * v))
+    return [int(row[::-1].translate(_DIGITS), 2) for row in rows]
+
+
+def _combine(op: Callable[[int, int], int], a: DSet, b: DSet) -> LevelsFn | None:
+    """The level evaluator of op on the levels of a and b; None unless
+    both have one."""
+    if a.levels_fn is None or b.levels_fn is None:
+        return None
+
+    def levels(depth: int) -> Iterator[int]:
+        for x, y in zip(a.levels_fn(depth), b.levels_fn(depth)):
+            yield op(x, y)
+    return levels
+
+
 def validate_claims(ds: DSet, horizon: int = DEFAULT_HORIZON,
                     tables: dict | None = None) -> None:
     """Spot-check declared stab and flags on all words up to the horizon.
 
-    Each word's membership is asked once, in preorder (the order of a
-    descent, so a closure tests its base once per word), into a byte table
-    in level order: the length-n word with bit value v sits at 2^n - 1 + v,
-    its children at 2i + 1 and 2i + 2, its parent at (i - 1) // 2.  The
-    claims are then checked against the table; a word is formatted only
+    The levels 0..horizon come from level_rows, as masks, and the claims
+    are checked against them a level at a time; a word is formatted only
     for the message of a failed check.  A caller that passes `tables`
     keeps each table there by membership function and horizon, so a claim
-    added later to the same membership is checked without asking again.
+    added later to the same membership is checked without building again.
     """
     key = (ds.member_fn, horizon)
-    inside = None if tables is None else tables.get(key)
+    rows = None if tables is None else tables.get(key)
     check_nonnegative(horizon, "horizon")
     if ds.stab is not None:
         check_nonnegative(ds.stab, "stab")
     if not (ds.stab is not None or ds.extension_closed or ds.restriction_closed
             or ds.convex or ds.co_convex):
         return
-    if inside is None:
+    if rows is None:
         m, operation = meter(), f"claim validation to horizon {horizon}"
         for n in range(horizon + 1):
             m.tick_exp(n, operation, n)
-        inside = bytearray((2 << horizon) - 1)
-        stack = [(EMPTY, 0)]
-        while stack:
-            u, i = stack.pop()
-            inside[i] = ds.member(u)
-            if len(u) < horizon:
-                stack.append((u + (1,), 2 * i + 2))
-                stack.append((u + (0,), 2 * i + 1))
+        rows = level_rows(ds, horizon)
         if tables is not None:
-            tables[key] = inside
-    parents = (1 << horizon) - 1  # positions 0..parents-1 have their children in the table
+            tables[key] = rows
+    # kids[n]: each word of level n copied to its two children, which a
+    # stab claim wants level n + 1 to equal
+    kids = [_spread(rows[n], n) for n in range(horizon)]
     if ds.stab is not None:
-        for i in range((1 << min(ds.stab, horizon)) - 1, parents):
-            for b in (0, 1):
-                if inside[2 * i + 1 + b] != inside[i]:
-                    u = _word_at(i)
-                    raise PreconditionError(
-                        f"stab={ds.stab} violated at {format_word(u)} -> {format_word(u + (b,))}")
+        for n in range(min(ds.stab, horizon), horizon):
+            bad = rows[n + 1] ^ kids[n]
+            if bad:
+                c = _lowest(bad)
+                u = _word(c >> 1, n)
+                raise PreconditionError(
+                    f"stab={ds.stab} violated at {format_word(u)} -> {format_word(u + (c & 1,))}")
     if ds.extension_closed:
-        for i in range(parents):
-            if inside[i] and not (inside[2 * i + 1] and inside[2 * i + 2]):
-                raise PreconditionError(
-                    f"extension-closed flag violated above {format_word(_word_at(i))}")
+        for n in range(horizon):
+            bad = kids[n] & ~rows[n + 1]
+            if bad:
+                u = _word(_lowest(bad) >> 1, n)
+                raise PreconditionError(f"extension-closed flag violated above {format_word(u)}")
     if ds.restriction_closed:
-        for i in range(1, len(inside)):
-            if inside[i] and not inside[(i - 1) // 2]:
-                raise PreconditionError(
-                    f"restriction-closed flag violated below {format_word(_word_at(i))}")
+        for n in range(horizon):
+            bad = rows[n + 1] & ~kids[n]
+            if bad:
+                u = _word(_lowest(bad), n + 1)
+                raise PreconditionError(f"restriction-closed flag violated below {format_word(u)}")
     for flag, name, want in ((ds.convex, "convex", 1), (ds.co_convex, "co-convex", 0)):
         if flag:
             for n in range(horizon + 1):
-                if _gap(inside[(1 << n) - 1:(2 << n) - 1], want) is not None:
+                if _gap(rows[n], n, want) is not None:
                     raise PreconditionError(f"{name} flag violated at level {n}")
-
-
-def _word_at(i: int) -> Word:
-    """The word at position i of validate_claims' level-order table."""
-    n = (i + 1).bit_length() - 1
-    v = i + 1 - (1 << n)
-    return tuple((v >> (n - 1 - k)) & 1 for k in range(n))
-
-
-def _index_of(u: Word) -> int:
-    """The position of the word u in validate_claims' level-order table:
-    walk down from the root, bit b leading to child 2i + 1 + b."""
-    i = 0
-    for b in u:
-        i = 2 * i + 1 + b
-    return i
 
 
 def dset(member_fn: MemberFn, *, stab: int | None = None,
@@ -141,47 +207,71 @@ def dset(member_fn: MemberFn, *, stab: int | None = None,
 # ---------------------------------------------------------------------------
 # Common stabilized families.
 
+def _each_level(level: Callable[[int], int]) -> LevelsFn:
+    """The level evaluator that builds each level n as level(n)."""
+    return lambda depth: map(level, range(depth + 1))
+
+
 def full_set() -> DSet:
     return DSet(lambda u: True, stab=0, extension_closed=True,
-                restriction_closed=True, convex=True)
+                restriction_closed=True, convex=True, levels_fn=_each_level(_ones))
 
 
 def empty_set() -> DSet:
     return DSet(lambda u: False, stab=0, extension_closed=True,
-                restriction_closed=True, co_convex=True)
+                restriction_closed=True, co_convex=True, levels_fn=_each_level(lambda n: 0))
 
 
 def len_ge(k: int) -> DSet:
     """Words of length at least k."""
-    return DSet(lambda u: len(u) >= k, stab=k, extension_closed=True, co_convex=True)
+    return DSet(lambda u: len(u) >= k, stab=k, extension_closed=True, co_convex=True,
+                levels_fn=_each_level(lambda n: _ones(n) if n >= k else 0))
 
 
 def bit_at(i: int, b: int) -> DSet:
     """Words long enough to fix position i, with that bit equal to b."""
     if b not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {b!r}")
-    return DSet(lambda u: len(u) > i and u[i] == b, stab=i + 1, extension_closed=True)
+
+    def level(n: int) -> int:
+        # runs of 2^(n-1-i) words, b's run the upper one, repeated 2^i times
+        run = n - 1 - i
+        return (_ones(run) << (b << run)) * (_ones(n) // _ones(run + 1)) if run >= 0 else 0
+    return DSet(lambda u: len(u) > i and u[i] == b, stab=i + 1, extension_closed=True,
+                levels_fn=_each_level(level))
 
 
 def count_ones_ge(k: int) -> DSet:
     """Words carrying at least k one bits.  Not stabilized for k > 0."""
     if k <= 0:
         return full_set()
-    return DSet(lambda u: sum(u) >= k, extension_closed=True)
+
+    def levels(depth: int) -> Iterator[int]:
+        ge = [1]  # ge[j]: the level's words with at least j ones, j <= min(k, n)
+        for n in range(depth + 1):
+            if n:
+                # a word of level n is a first bit followed by a level n - 1 word
+                half = 1 << (n - 1)
+                ge = [_ones(n)] + [(ge[j] if j < len(ge) else 0) | ge[j - 1] << half
+                                   for j in range(1, min(k, n) + 1)]
+            yield ge[k] if k < len(ge) else 0
+    return DSet(lambda u: sum(u) >= k, extension_closed=True, levels_fn=levels)
 
 
 def has_prefix(w: Word) -> DSet:
     """Words extending the fixed word w."""
     w = tuple(w)
-    return DSet(lambda u: len(u) >= len(w) and u[:len(w)] == w,
-                stab=len(w), extension_closed=True)
+    k, at = len(w), _value(w)
+    return DSet(lambda u: len(u) >= k and u[:k] == w, stab=k, extension_closed=True,
+                levels_fn=_each_level(lambda n: _ones(n - k) << (at << (n - k)) if n >= k else 0))
 
 
 def finite_set(members: Iterable[Word]) -> DSet:
     """A literal finite set; stabilizes just past its longest member."""
     table = frozenset(tuple(m) for m in members)
     stab = max((len(m) for m in table), default=-1) + 1
-    return DSet(lambda u: u in table, stab=stab)
+    return DSet(lambda u: u in table, stab=stab,
+                levels_fn=_each_level(lambda n: sum(1 << _value(m) for m in table if len(m) == n)))
 
 
 def union_sets(a: DSet, b: DSet) -> DSet:
@@ -189,7 +279,7 @@ def union_sets(a: DSet, b: DSet) -> DSet:
     return DSet(lambda u: a.member(u) or b.member(u), stab=stab,
                 extension_closed=a.extension_closed and b.extension_closed,
                 restriction_closed=a.restriction_closed and b.restriction_closed,
-                co_convex=a.co_convex and b.co_convex)
+                co_convex=a.co_convex and b.co_convex, levels_fn=_combine(or_, a, b))
 
 
 def intersect_sets(a: DSet, b: DSet) -> DSet:
@@ -197,14 +287,15 @@ def intersect_sets(a: DSet, b: DSet) -> DSet:
     return DSet(lambda u: a.member(u) and b.member(u), stab=stab,
                 extension_closed=a.extension_closed and b.extension_closed,
                 restriction_closed=a.restriction_closed and b.restriction_closed,
-                convex=a.convex and b.convex)
+                convex=a.convex and b.convex, levels_fn=_combine(and_, a, b))
 
 
 def complement(a: DSet) -> DSet:
     return DSet(lambda u: not a.member(u), stab=a.stab,
                 extension_closed=a.restriction_closed,
                 restriction_closed=a.extension_closed,
-                convex=a.co_convex, co_convex=a.convex)
+                convex=a.co_convex, co_convex=a.convex,
+                levels_fn=_combine(xor, a, full_set()))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +310,7 @@ def closure(a: DSet) -> DSet:
     A query tests only the prefixes it does not share with that word, so a
     descent, which asks about a parent before its children, pays one test
     of a per word instead of one per prefix, and nothing else is kept.
+    A level is a's level and the children of the level above.
     """
     last: Word | None = None
     hit = 0  # length of the shortest prefix of last in a; len(last) + 1 if none
@@ -234,7 +326,14 @@ def closure(a: DSet) -> DSet:
         last, hit = u, j
         return j <= len(u)
 
-    return DSet(mem, stab=a.stab, extension_closed=True, co_convex=a.co_convex)
+    def levels(depth: int) -> Iterator[int]:
+        above = 0
+        for n, row in enumerate(a.levels_fn(depth)):
+            above = row | (_spread(above, n - 1) if n else 0)
+            yield above
+
+    return DSet(mem, stab=a.stab, extension_closed=True, co_convex=a.co_convex,
+                levels_fn=None if a.levels_fn is None else levels)
 
 
 def _common_prefix_len(u: Word, w: Word) -> int:
@@ -435,27 +534,35 @@ def uniform_bound_ext_closed(b: DSet, max_n: int) -> Verdict:
     return uniform_bound(b, max_n)
 
 
-def _gap(row: bytes, want: int) -> tuple[int, int, int] | None:
-    """Positions (i, j, k), i < j < k, of the first and last bytes of the
-    membership row equal to want and of the first byte between them that
-    is not; None when the want bytes form one contiguous block."""
-    first, last = row.find(want), row.rfind(want)
-    j = row.find(1 - want, first + 1, last) if first >= 0 else -1
-    return None if j < 0 else (first, j, last)
+def _gap(row: int, n: int, want: int) -> tuple[int, int, int] | None:
+    """Bits (i, j, k), i < j < k, of the level-n mask: the first and last
+    equal to want, and the first between them that is not; None when the
+    want bits form one contiguous block."""
+    if not want:
+        row ^= _ones(n)
+    if not row:
+        return None
+    first = _lowest(row)
+    run = row >> first
+    if not run & (run + 1):
+        return None
+    return first, first + _lowest(~run & (run + 1)), first + run.bit_length() - 1
 
 
 def convexity_verdict(a: DSet, depth: int, mode: str = "convex") -> Verdict:
     """Per-level betweenness check to the given depth.
 
     Convexity only relates words of equal length, so each level is
-    checked independently; YES(depth) means consistent so far.
+    checked independently, and charged just before; YES(depth) means
+    consistent so far.
     """
     if mode not in ("convex", "co-convex"):
         raise PreconditionError(f"mode must be 'convex' or 'co-convex', got {mode!r}")
     check_nonnegative(depth, "depth")
     want = 1 if mode == "convex" else 0
     for n in range(depth + 1):
-        gap = _gap(bytes(map(a.member, iter_level(n))), want)
+        meter().tick_exp(n, "level enumeration", n)
+        gap = _gap(level_rows(a, n, n)[0], n, want)
         if gap is not None:
-            return Verdict.no(witness=tuple(_word_at((1 << n) - 1 + i) for i in gap))
+            return Verdict.no(witness=tuple(_word(v, n) for v in gap))
     return Verdict.yes(bound=depth)

@@ -308,7 +308,8 @@ class _Parser:
         that made them, or hold by construction."""
         new = {key: value for key, value in added.items() if getattr(base, key) != value}
         if new:
-            validate_claims(DSet(base.member_fn, **new), tables=self._tables)
+            validate_claims(DSet(base.member_fn, levels_fn=base.levels_fn, **new),
+                            tables=self._tables)
         return base.replace(**added)
 
 

@@ -147,6 +147,12 @@ def restrict(x: WordOrSeq, n: int) -> Word:
     if n < 0:
         raise OutOfRangeError(f"restriction length must be nonnegative, got {n}")
     if isinstance(x, Seq):
+        head = x._prefix[:n]
+        pad = n - len(head)
+        if x._tail is not None:
+            return head + (x._tail,) * pad
+        if x._cycle is not None:
+            return head + (x._cycle * (pad // len(x._cycle) + 1))[:pad]
         return tuple(x.at(i) for i in range(n))
     if n > len(x):
         raise OutOfRangeError(f"cannot restrict a word of length {len(x)} to {n}")

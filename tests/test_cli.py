@@ -9,11 +9,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from fankit import Bar, ConstancyVerdict, Leaf, Node, Tree, Verdict
+from fankit import Bar, ConstancyVerdict, DSet, Leaf, Node, Tree, Verdict, cli
 from fankit.certificate import Certificate
 from fankit.cli import COMMANDS, run
 from fankit.specfile import SpecError, parse_specdoc
@@ -174,6 +175,19 @@ def test_uc_bound_via_fan_keeps_shared_sub_functionals_shared(tmp_path, monkeypa
     assert refusal == (2, "ERROR=BudgetExceededError: descent at level 24: 4097 words used, "
                           "budget 4096\n")
     assert peak < 1 << 20
+
+
+def test_a_claim_on_a_deep_nesting_is_validated(tmp_path):
+    # the level evaluators take one frame per complement, membership two:
+    # a claim 450 deep is validated, true or false, and bar-check answers
+    nested = "complement(" * 450 + "len_ge(3)" + ")" * 450
+    code, out = run(["bar-check", "--spec", write_spec(tmp_path, f"c = stab({nested}, 2)\n"),
+                     "--set", "c", "--depth", "2"])
+    assert (code, out) == (3, "ERROR=spec: line 1, column 5: stab=2 violated at 00 -> 000\n")
+    spec = write_spec(tmp_path, f"c = stab({nested}, 4)\n")
+    code, out = run(["bar-check", "--spec", spec, "--set", "c", "--depth", "2"])
+    assert code == 2 and "VERDICT=UNKNOWN\nBOUND=2\n" in out, out[:200]
+    assert verify_text(tmp_path, spec, out) == (0, "VERIFY=OK\n")
 
 
 def test_nesting_too_deep_is_a_resource_error(tmp_path):
@@ -730,6 +744,33 @@ def test_defu_not_exists_is_rechecked_within_the_producers_budget(tmp_path, monk
     assert verify_text(tmp_path, spec, text) == (
         2, "ERROR=BudgetExceededError: defu escape scan to depth 9 at level 9: "
            f"{recheck} words used, budget {recheck - 1}\n")
+
+
+def test_defu_reads_a_spec_built_set_by_whole_levels(tmp_path, monkeypatch):
+    # the table of levels 0..13 (16,383 words) comes from the level
+    # evaluators, in produce and in verify: the set is asked no word
+    spec = write_spec(tmp_path, "d = stab(union(prefix(001), complement(prefix(001))), 13)\n")
+    asked = Counter()
+    load, member = cli.load_specdoc, DSet.member
+
+    def loading(path):
+        doc = load(path)
+        d = doc.get_set("d")
+        doc.definitions["d"] = d.replace(
+            member_fn=lambda u: asked.update(["member_fn"]) or d.member_fn(u))
+        return doc
+
+    def counting(self, u):
+        if self.levels_fn is not None:
+            asked["member"] += 1
+        return member(self, u)
+
+    monkeypatch.setattr(cli, "load_specdoc", loading)
+    monkeypatch.setattr(DSet, "member", counting)
+    code, text = run(["defu", "--spec", spec, "--set", "d", "--oracle", "llpo:32"])
+    assert code == 0 and "VERDICT=NOT_EXISTS" in text
+    assert verify_text(tmp_path, spec, text) == (0, "VERIFY=OK\n")
+    assert not asked, asked
 
 
 def test_defu_refuses_an_escape_at_the_stab_depth(tmp_path):

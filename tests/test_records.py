@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import re
 import subprocess
 import sys
 import types
@@ -25,7 +26,7 @@ SRC = Path(fankit.__file__).resolve().parent.parent
 # the trailing ones.
 RECORDS = {
     DSet: (("member_fn", "stab", "extension_closed", "restriction_closed", "convex",
-            "co_convex"), (None, False, False, False, False)),
+            "co_convex", "levels_fn"), (None, False, False, False, False, None)),
     Verdict: (("outcome", "bound", "witness", "escape", "depth"), (None, None, None, None)),
     Tree: (("carrier", "horizon"), (8,)),
     Bar: (("carrier", "wit"), (None,)),
@@ -227,6 +228,25 @@ def test_no_module_imports_argparse():
     names = {getattr(node, "name", getattr(node, "id", None)) for node in ast.walk(cli)
              if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Name))}
     assert not names & {"_Parser", "_Help", "_parser"}
+
+
+def test_fankit_depends_on_the_standard_library_only():
+    # the runtime dependency list stays empty, and every module fankit
+    # imports is of the standard library or of fankit itself
+    project = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    table = project.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r"^dependencies\s*=.*$", table, re.M) == ["dependencies = []"]
+    for path in sorted((SRC / "fankit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "fankit", (path, name)
 
 
 def test_counts_have_one_reader():

@@ -11,12 +11,13 @@ from fankit import (DSet, bar_verdict, closure, complement,
                     convexity_verdict, dset, finite_set, full_set, interior,
                     iter_level, len_ge, restrict, restrict_set, uniform_bound,
                     uniform_bound_ext_closed, union_sets)
+from fankit import sets
 from fankit.errors import BudgetExceededError, PreconditionError
 from fankit.sets import validate_claims
 from fankit.specfile import SpecError, parse_specdoc
 
 from bruteforce import (all_words, brute_claim_violation, brute_convexity_gap,
-                        brute_interior_member, brute_least_uniform_bound)
+                        brute_interior_member, brute_least_uniform_bound, words_at)
 from corpus import random_dset
 from test_cli import random_set_text
 
@@ -350,27 +351,133 @@ def test_claim_validation_tests_each_base_word_once():
 
 def test_each_spec_line_asks_membership_once(monkeypatch):
     # a wrapper around a validated set checks only the claim it adds, on
-    # the table of memberships its inner line already asked for
-    calls = Counter()
-    member = DSet.member
+    # the table of levels its inner line already built: one table a line,
+    # from the level evaluators of a spec-built set, which asks no word,
+    # or asking the words of an interior, which has no evaluator
+    calls, tables = Counter(), []
+    member, level_rows = DSet.member, sets.level_rows
 
     def counting(self, u):
         calls[u] += 1
         return member(self, u)
 
+    def counting_rows(ds, *args):
+        tables.append(ds.member_fn)
+        return level_rows(ds, *args)
+
     monkeypatch.setattr(DSet, "member", counting)
-    inner = "stab(union(len_ge(2), count_ones_ge(1)), 2)"
-    counts = []
-    for line in (f"s = {inner}", f"b = bar(coconvex({inner}), const(2))",
-                 f"c = ext_closed(coconvex(stab({inner}, 2)))"):
-        calls.clear()
-        parse_specdoc(line + "\n")
-        counts.append(sum(calls.values()))
-    assert counts[0] > 0 and counts == counts[:1] * 3, counts
+    monkeypatch.setattr(sets, "level_rows", counting_rows)
+    for inner, k, asks in (("stab(union(len_ge(2), count_ones_ge(1)), 2)", 2, False),
+                           ("stab(interior(len_ge(2)), 3)", 3, True)):
+        counts = []
+        for line in (f"s = {inner}", f"b = bar(coconvex({inner}), const(2))",
+                     f"c = ext_closed(coconvex(stab({inner}, {k})))"):
+            calls.clear()
+            tables.clear()
+            parse_specdoc(line + "\n")
+            counts.append(sum(calls.values()))
+            assert len(tables) == 1, line
+        assert (counts[0] > 0) == asks and counts == counts[:1] * 3, counts
     # a set restriction-closed by construction is not validated again by tree
     calls.clear()
+    tables.clear()
     parse_specdoc("t = tree(complement(closure(finite(10))))\n")
-    assert not calls
+    assert not calls and not tables
+
+
+def random_spec_set(rng, depth=0):
+    """A random set expression over every set constructor of definition
+    files, claim wrappers and interior included; some of the claims are
+    false, and some interiors lack the stab they need."""
+    word = lambda: "".join(rng.choice("01") for _ in range(rng.randrange(0, 13))) or "e"
+    if depth >= 3 or rng.random() < 0.3:
+        return rng.choice((
+            lambda: f"len_ge({rng.randrange(0, 13)})",
+            lambda: f"bit({rng.randrange(0, 13)}, {rng.randrange(2)})",
+            lambda: f"count_ones_ge({rng.randrange(0, 14)})",
+            lambda: f"prefix({word()})",
+            lambda: f"finite({', '.join(word() for _ in range(rng.randrange(1, 4)))})"))()
+    inner = lambda: random_spec_set(rng, depth + 1)
+    return rng.choice((
+        lambda: f"union({inner()}, {inner()})",
+        lambda: f"intersect({inner()}, {inner()})",
+        lambda: f"complement({inner()})",
+        lambda: f"closure({inner()})",
+        lambda: f"closure(closure({inner()}))",
+        lambda: f"complement(closure({inner()}))",
+        lambda: f"interior({inner()})",
+        lambda: f"stab({inner()}, {rng.randrange(0, 14)})",
+        lambda: f"{rng.choice(('ext_closed', 'restr_closed', 'convex', 'coconvex', 'tree'))}"
+                f"({inner()})",
+        lambda: f"tree(complement(closure({inner()})))",
+        lambda: f"bar({inner()}, const(2))"))()
+
+
+def brute_rows(member, depth):
+    """Each level's members as a mask: bit v is the v-th word in lex order."""
+    return [sum(1 << v for v, u in enumerate(words_at(n)) if member(u))
+            for n in range(depth + 1)]
+
+
+def test_level_evaluators_match_membership():
+    rng = random.Random(1616)
+    seen, kinds = Counter(), Counter()
+    fixed = ["finite(e, 0110)", "count_ones_ge(11)", "bit(10, 1)", "prefix(0110100101011)",
+             "closure(closure(finite(01, 1)))", "complement(closure(bit(1, 0)))",
+             "stab(complement(closure(prefix(10))), 2)", "coconvex(len_ge(4))",
+             "tree(complement(closure(finite(101))))", "bar(len_ge(3), const(3))"]
+    while seen["spec"] < 160:
+        text = fixed.pop() if fixed else random_spec_set(rng)
+        try:
+            ds = parse_specdoc(f"x = {text}\n").get_set("x")
+        except SpecError:
+            seen["refused"] += 1
+            continue
+        seen["spec"] += 1
+        for name in ("closure(closure", "complement(closure", "stab(", "tree(", "bar(",
+                     "count_ones_ge", "finite", "interior"):
+            kinds[name] += name in text
+        # every constructor has a level evaluator but interior
+        assert (ds.levels_fn is None) == ("interior" in text), text
+        want = brute_rows(ds.member, 10)
+        assert sets.level_rows(ds, 10) == want, text
+        start = rng.randrange(0, 11)
+        assert sets.level_rows(ds, 10, start) == want[start:], text
+    assert seen["refused"] > 5 and min(kinds.values()) > 5, (seen, kinds)
+    # an opaque library set has no evaluator, and neither has a union or a
+    # closure over one: they fall back to asking membership
+    opaque = DSet(lambda u: sum(u) % 3 == 1)
+    for ds in (opaque, union_sets(len_ge(2), opaque), closure(opaque),
+               closure(union_sets(opaque, finite_set([(1, 1)])))):
+        assert ds.levels_fn is None
+        assert sets.level_rows(ds, 10) == brute_rows(ds.member, 10)
+
+
+def test_convexity_verdict_on_spec_built_sets_matches_bruteforce():
+    rng = random.Random(1617)
+    found = Counter()
+    while sum(found.values()) < 400:
+        try:
+            a = parse_specdoc(f"x = {random_spec_set(rng)}\n").get_set("x")
+        except SpecError:
+            continue
+        depth = rng.randrange(0, 9)
+        for mode, member in (("convex", a.member), ("co-convex", lambda u: not a.member(u))):
+            v = convexity_verdict(a, depth, mode)
+            gap = brute_convexity_gap(member, depth)
+            found[gap is None] += 1
+            assert (v.is_yes, v.witness) == ((True, None) if gap is None else (False, gap))
+    assert min(found.values()) > 30, found
+
+
+def test_convexity_charges_each_level_before_reading_it(monkeypatch):
+    # convexity charges each level just before it reads it, so a gap at
+    # level 2 answers at a depth whose full scan the budget would refuse
+    monkeypatch.setenv("FANKIT_BUDGET", "8")
+    for a in (finite_set([(0, 0), (1, 1)]), DSet(finite_set([(0, 0), (1, 1)]).member_fn)):
+        assert convexity_verdict(a, 10 ** 6).witness == ((0, 0), (0, 1), (1, 1))
+        with pytest.raises(BudgetExceededError, match="level enumeration at level 4"):
+            convexity_verdict(complement(a), 10 ** 6)
 
 
 def test_stab_propagation():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -97,6 +98,20 @@ def test_restrict_recovers_prefix():
         for u in iter_level(n):
             for alpha in tails:
                 assert restrict(concat(u, alpha), len(u)) == u
+
+
+def test_restrict_matches_the_bit_by_bit_definition():
+    # closed forms slice their prefix and pad it; an opaque rule is read a bit at a time
+    rng = random.Random(1618)
+    bits = lambda k: tuple(rng.randrange(2) for _ in range(k))
+    for _ in range(200):
+        prefix = bits(rng.randrange(0, 8))
+        alpha = rng.choice((Seq.eventually_constant(prefix, rng.randrange(2)),
+                            Seq.periodic(prefix, bits(rng.randrange(1, 5))),
+                            Seq.from_rule(lambda i: i * i % 3 % 2, prefix)))
+        for n in sorted({0, len(prefix) - 1, len(prefix), len(prefix) + 1,
+                         rng.randrange(0, 40)} - {-1}):
+            assert restrict(alpha, n) == tuple(alpha.at(i) for i in range(n)), (alpha, n)
 
 
 def test_all_zero_all_one_against_bit_scans():
