@@ -11,8 +11,8 @@ from .sets import (DSet, Outcome, Verdict, bar_verdict, bit_at, closure,
                    complement, convexity_verdict, count_ones_ge, dset,
                    empty_set, finite_set, full_set, has_prefix, interior,
                    intersect_sets, len_ge, least_uniform_bound, restrict_set,
-                   uniform_bound, uniform_bound_ext_closed, union_sets)
-from .trees import (PathGen, Tree, complete, escape_witness,
+                   uniform_bound, union_sets)
+from .trees import (PathGen, complete, escape_witness,
                     find_path_convex_unique, has_descendant, is_infinite_to,
                     is_summit, members_at, survival, survival_verdict,
                     survivor_width, tree)

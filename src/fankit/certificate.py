@@ -28,7 +28,7 @@ from .continuity import Functional, Leaf, Node, eval_word, least_escape
 from .errors import BudgetExceededError, FankitError
 from .sets import DSet, avoid_height
 from .specfile import SpecDoc
-from .trees import Tree, complete, tree_levels
+from .trees import complete, tree_levels
 from .words import Word, format_word, parse_word
 
 HEADER = "FANKIT-CERT"
@@ -191,7 +191,7 @@ def check_uniform_bound(cert: Certificate, doc: SpecDoc, name: str, limit: int):
     return _check_scan(cert, doc.get_set(name), limit, "--max", False)
 
 
-def level_listing(t: Tree, depth: int) -> list[str]:
+def level_listing(t: DSet, depth: int) -> list[str]:
     """The WITNESS= values of complete-tree: for each level k of t's completion
     up to depth, "k:" and its members in lex order."""
     return [f"{k}:{' '.join(map(format_word, level))}"

@@ -17,7 +17,6 @@ from .errors import CertificateError, FuelError, OutOfRangeError, PreconditionEr
 from .fan import Bar, FanOracle, minimal_witness
 from .oracles import WKLOracle
 from .sets import DSet, _lowest, _ones, _value, _word, interior, level_rows
-from .trees import Tree
 from .words import EMPTY, ONE, ZERO, Seq, Word, concat, format_word, iter_level, restrict
 
 
@@ -474,7 +473,7 @@ def defu_via_wkl(d: DSet, wkl: WKLOracle) -> DefuVerdict:
         # length e exactly when u[:e] does
         return e is None or len(u) < e or not rows[e] >> _value(u[:e]) & 1
 
-    guide = Tree(DSet(t_member, stab=(0 if e is None else e), restriction_closed=True))
+    guide = DSet(t_member, stab=(0 if e is None else e), restriction_closed=True)
     alpha = wkl.solve(guide).as_seq()
 
     def interior_at(n: int, v: int) -> bool:

@@ -15,8 +15,7 @@ from ._record import FrozenRecord, _set
 from .errors import (CertificateError, InconsistencyError, PreconditionError,
                      WitnessError)
 from .sets import DSet, Outcome, avoid_height, closure, complement, uniform_bound
-from .trees import (PathGen, Tree, complete, find_path_convex_unique, has_descendant,
-                    survival, tree)
+from .trees import PathGen, complete, find_path_convex_unique, has_descendant, survival
 from .words import Seq, Word, format_word, restrict
 
 
@@ -76,7 +75,7 @@ def fan_bruteforce(max_n: int) -> FanOracle:
     return FanOracle(raw, tag=f"brute-force(maxN={max_n})", reverify=False)
 
 
-def fan_from_lpl(b: Bar, lpl: Callable[[Tree], PathGen]) -> int:
+def fan_from_lpl(b: Bar, lpl: Callable[[DSet], PathGen]) -> int:
     """Uniform bound from a longest-path generator.
 
     The complement of an extension-closed bar is a tree with at most one
@@ -88,7 +87,7 @@ def fan_from_lpl(b: Bar, lpl: Callable[[Tree], PathGen]) -> int:
     if not b.carrier.extension_closed:
         raise PreconditionError(
             "carrier must be flagged extension-closed; take its closure first")
-    t = tree(complement(b.carrier), validate=False)
+    t = complement(b.carrier)
     gen = lpl(t)
     n = b.query(gen.as_seq())
     _, escape = avoid_height(b.carrier, n)
@@ -99,7 +98,7 @@ def fan_from_lpl(b: Bar, lpl: Callable[[Tree], PathGen]) -> int:
     return n
 
 
-def wkl_unique_from_fan(t: Tree, fan: FanOracle,
+def wkl_unique_from_fan(t: DSet, fan: FanOracle,
                         bar_wit: Callable[[Word], Callable[[Seq], int]] | None = None) -> PathGen:
     """Path generator for a tree asserted infinite with at most one path,
     powered by a fan oracle.
@@ -152,7 +151,7 @@ def coconvex_bound(b: Bar) -> int:
     if closed.stab is None:
         raise PreconditionError(
             "carrier needs a stabilization depth (the completion requires one)")
-    t = tree(complement(closed), validate=False)
+    t = complement(closed)
     completed = complete(t)
 
     def exit_wit(alpha: Seq) -> int:

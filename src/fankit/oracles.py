@@ -15,7 +15,7 @@ from ._budget import check_nonnegative, meter
 from ._record import FrozenRecord, _set
 from .errors import CertificateError, PreconditionError
 from .sets import DSet
-from .trees import PathGen, Tree, complete, survival
+from .trees import PathGen, complete, survival
 from .words import Seq, Word, format_word
 
 
@@ -36,7 +36,7 @@ class LLPOOracle(FrozenRecord):
 class WKLOracle(FrozenRecord):
     _fields = ("solve", "tag")
 
-    def __init__(self, solve: Callable[[Tree], PathGen], tag: str):
+    def __init__(self, solve: Callable[[DSet], PathGen], tag: str):
         _set(self, "solve", solve)
         _set(self, "tag", tag)
 
@@ -76,7 +76,7 @@ def llpo_bounded_oracle(horizon: int) -> LLPOOracle:
                       tag=f"bounded(h={horizon})")
 
 
-def wkl_from_llpo(t: Tree, oracle: LLPOOracle) -> PathGen:
+def wkl_from_llpo(t: DSet, oracle: LLPOOracle) -> PathGen:
     """Path generator: at each node, encode the two children's survival
     depths into a sequence with at most one 1 and let the oracle pick
     the branch.  EVENS descends left, ODDS right."""
@@ -104,14 +104,14 @@ def wkl_oracle_from_llpo(oracle: LLPOOracle) -> WKLOracle:
                      tag=f"wkl-from-llpo[{oracle.tag}]")
 
 
-def lpl_from_wkl(t: Tree, oracle: WKLOracle) -> PathGen:
+def lpl_from_wkl(t: DSet, oracle: WKLOracle) -> PathGen:
     """Longest-path generator: complete the tree, then take the oracle's
     path of the completion.  Every emitted prefix restricts into the
     original tree at each of its inhabited lengths."""
     return oracle.solve(complete(t))
 
 
-def llpo_probe_tree(alpha: Seq) -> Tree:
+def llpo_probe_tree(alpha: Seq) -> DSet:
     """The thin convex tree whose left arm lives while the even positions
     of alpha stay zero and whose right arm lives while the odd ones do.
 
@@ -129,10 +129,10 @@ def llpo_probe_tree(alpha: Seq) -> Tree:
         return all(b == 0 for b in tail) and \
             all(alpha.at(2 * i + 1) == 0 for i in range(len(tail) + 1))
 
-    return Tree(DSet(mem, restriction_closed=True, convex=True))
+    return DSet(mem, restriction_closed=True, convex=True)
 
 
-def llpo_from_path_oracle(alpha: Seq, path_oracle: Callable[[Tree], PathGen],
+def llpo_from_path_oracle(alpha: Seq, path_oracle: Callable[[DSet], PathGen],
                           horizon: int) -> Parity:
     """Answer the even/odd split by routing a path oracle through the
     probe tree: a path through the left arm certifies the even positions

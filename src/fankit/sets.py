@@ -15,7 +15,7 @@ from enum import Enum
 from operator import and_, or_, xor
 from typing import Callable, Iterable, Iterator
 
-from ._budget import check_depth, check_nonnegative, meter
+from ._budget import check_depth, check_nonnegative, meter, one_meter
 from ._record import FrozenRecord, _set
 from .errors import PreconditionError
 from .words import EMPTY, Seq, Word, format_word
@@ -526,14 +526,6 @@ def uniform_bound(b: DSet, max_n: int) -> Verdict:
     return Verdict.unknown(max_n)
 
 
-def uniform_bound_ext_closed(b: DSet, max_n: int) -> Verdict:
-    """For extension-closed b the uniform bound is the first full level,
-    which is what uniform_bound finds."""
-    if not b.extension_closed:
-        raise PreconditionError("set must be flagged extension-closed")
-    return uniform_bound(b, max_n)
-
-
 def _gap(row: int, n: int, want: int) -> tuple[int, int, int] | None:
     """Bits (i, j, k), i < j < k, of the level-n mask: the first and last
     equal to want, and the first between them that is not; None when the
@@ -553,16 +545,17 @@ def convexity_verdict(a: DSet, depth: int, mode: str = "convex") -> Verdict:
     """Per-level betweenness check to the given depth.
 
     Convexity only relates words of equal length, so each level is
-    checked independently, and charged just before; YES(depth) means
-    consistent so far.
+    checked independently, and charged just before to the call's one
+    meter; YES(depth) means consistent so far.
     """
     if mode not in ("convex", "co-convex"):
         raise PreconditionError(f"mode must be 'convex' or 'co-convex', got {mode!r}")
     check_nonnegative(depth, "depth")
     want = 1 if mode == "convex" else 0
-    for n in range(depth + 1):
-        meter().tick_exp(n, "level enumeration", n)
-        gap = _gap(level_rows(a, n, n)[0], n, want)
-        if gap is not None:
-            return Verdict.no(witness=tuple(_word(v, n) for v in gap))
+    with one_meter() as levels:
+        for n in range(depth + 1):
+            levels.tick_exp(n, "level enumeration", n)
+            gap = _gap(level_rows(a, n, n)[0], n, want)
+            if gap is not None:
+                return Verdict.no(witness=tuple(_word(v, n) for v in gap))
     return Verdict.yes(bound=depth)

@@ -19,7 +19,6 @@ from .fan import Bar
 from .sets import (DSet, bit_at, closure, complement, count_ones_ge,
                    finite_set, has_prefix, interior, intersect_sets, len_ge,
                    union_sets, validate_claims)
-from .trees import Tree, tree
 from .words import EMPTY, Seq, Word, parse_word
 
 
@@ -83,7 +82,7 @@ class _Witness(FrozenRecord):
         _set(self, "fn", fn)
 
 
-Definition = object  # DSet | Tree | Bar | Functional
+Definition = object  # DSet | Bar | Functional
 
 
 class SpecDoc(Record):
@@ -105,7 +104,7 @@ class SpecDoc(Record):
     def get_set(self, name: str) -> DSet:
         return self._lookup(name, "set")
 
-    def get_tree(self, name: str) -> Tree:
+    def get_tree(self, name: str) -> DSet:
         return self._lookup(name, "tree")
 
     def get_bar(self, name: str) -> Bar:
@@ -141,10 +140,15 @@ def _as_word(item) -> Word | None:
 
 
 def _as_set(value) -> DSet | None:
-    """A set, or the carrier of a tree or a bar: what counts as a set."""
-    if isinstance(value, (Tree, Bar)):
+    """A set, or the carrier of a bar: what counts as a set."""
+    if isinstance(value, Bar):
         return value.carrier
     return value if isinstance(value, DSet) else None
+
+
+def _as_tree(value) -> DSet | None:
+    """A set flagged restriction-closed: what counts as a tree."""
+    return value if isinstance(value, DSet) and value.restriction_closed else None
 
 
 def _of_type(*types):
@@ -162,7 +166,7 @@ _KINDS: dict[str, tuple[str, Callable]] = {
     "set": ("a set", _as_set),
     "fn": ("a functional", _of_type(Leaf, Node)),
     "witness": ("const(k) or first_one_plus(k)", _of_type(_Witness)),
-    "tree": ("a tree", _of_type(Tree)),
+    "tree": ("a tree", _as_tree),
     "bar": ("a bar", _of_type(Bar)),
 }
 
@@ -205,8 +209,7 @@ _CONSTRUCTORS: dict[str, _Constructor] = {
     "restr_closed": _Constructor(("set",), _claim_flag("restriction_closed"), True),
     "convex": _Constructor(("set",), _claim_flag("convex"), True),
     "coconvex": _Constructor(("set",), _claim_flag("co_convex"), True),
-    "tree": _Constructor(("set",), lambda claim, a: tree(claim(a, restriction_closed=True),
-                                                         validate=False), True),
+    "tree": _Constructor(("set",), _claim_flag("restriction_closed"), True),
     "bar": _Constructor(("set", "witness"), lambda a, witness: Bar(a, witness.fn)),
     "const": _Constructor(("int",), lambda k: _Witness(lambda alpha: k)),
     "first_one_plus": _Constructor(("int",), _first_one_plus_witness),

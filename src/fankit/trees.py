@@ -12,42 +12,22 @@ import math
 from typing import Callable
 
 from ._budget import check_depth, check_nonnegative, one_meter
-from ._record import FrozenRecord, _set
 from .errors import CertificateError, InconsistencyError, PreconditionError, WitnessError
 from .sets import DEFAULT_HORIZON, DSet, Verdict, descend, validate_claims
 from .words import EMPTY, Seq, Word, format_word, restrict
 
 
-class Tree(FrozenRecord):
-    _fields = ("carrier", "horizon")
-
-    def __init__(self, carrier: DSet, horizon: int = DEFAULT_HORIZON):
-        _set(self, "carrier", carrier)
-        _set(self, "horizon", horizon)
-
-    def member(self, u: Word) -> bool:
-        return self.carrier.member(u)
-
-    @property
-    def stab(self) -> int | None:
-        return self.carrier.stab
-
-    @property
-    def convex(self) -> bool:
-        return self.carrier.convex
-
-
-def tree(carrier: DSet, horizon: int = DEFAULT_HORIZON, validate: bool = True) -> Tree:
-    """Wrap a DSet as a tree, flagging and (by default) validating
-    restriction closure up to the horizon."""
+def tree(carrier: DSet, horizon: int = DEFAULT_HORIZON, validate: bool = True) -> DSet:
+    """A tree: the DSet flagged restriction-closed, the flag (by default)
+    validated up to the horizon."""
     if not carrier.restriction_closed:
         carrier = carrier.replace(restriction_closed=True)
     if validate:
         validate_claims(carrier, horizon)
-    return Tree(carrier, horizon)
+    return carrier
 
 
-def tree_levels(t: Tree, depth: int) -> list[list[Word]]:
+def tree_levels(t: DSet, depth: int) -> list[list[Word]]:
     """Members of levels 0..depth, each in lex order, from one descent
     through members only, charged to the listing's meter.  A listing past
     the depth cap is refused before any level is built; each member is
@@ -61,24 +41,24 @@ def tree_levels(t: Tree, depth: int) -> list[list[Word]]:
     return levels
 
 
-def members_at(t: Tree, n: int) -> list[Word]:
+def members_at(t: DSet, n: int) -> list[Word]:
     """Members of level n, found by descending through members only."""
     return tree_levels(t, n)[n]
 
 
-def is_infinite_to(t: Tree, depth: int) -> Verdict:
+def is_infinite_to(t: DSet, depth: int) -> Verdict:
     """YES(depth) when every level up to depth has a member, else NO(k)
     with the least empty level k: how deep the root survives."""
     return survival_verdict(t, EMPTY, depth)
 
 
-def _require_stab(t: Tree) -> int:
+def _require_stab(t: DSet) -> int:
     if t.stab is None:
         raise PreconditionError("operation needs a declared stabilization depth on the tree")
     return t.stab
 
 
-def _summit(t: Tree) -> Word | None:
+def _summit(t: DSet) -> Word | None:
     """The member a stabilized tree's completion hangs its zero tail on:
     the lex-greatest member of the deepest inhabited level, the root for
     the empty tree, and None when level stab is inhabited (the tree is
@@ -94,7 +74,7 @@ def _summit(t: Tree) -> Word | None:
     return head
 
 
-def is_summit(t: Tree, u: Word) -> bool:
+def is_summit(t: DSet, u: Word) -> bool:
     """Is u the member the completion hangs its zero tail on?
 
     For a finite nonempty tree that is the lex-greatest member of the
@@ -105,7 +85,7 @@ def is_summit(t: Tree, u: Word) -> bool:
     return head is not None and u == head
 
 
-def complete(t: Tree) -> Tree:
+def complete(t: DSet) -> DSet:
     """The least infinite extension: the tree itself when already infinite,
     otherwise the tree plus a zero ray hanging from its summit.
 
@@ -117,20 +97,18 @@ def complete(t: Tree) -> Tree:
     if head is None:
         return t
     hl = len(head)
-    base = t.carrier
 
     def mem(u: Word) -> bool:
         if not u:
             return True
         if len(u) > hl and u[:hl] == head and all(b == 0 for b in u[hl:]):
             return True
-        return base.member(u)
+        return t.member(u)
 
-    carrier = DSet(mem, restriction_closed=True, convex=base.convex)
-    return Tree(carrier, t.horizon)
+    return DSet(mem, restriction_closed=True, convex=t.convex)
 
 
-def survival(t: Tree, u: Word) -> Callable[[int], bool]:
+def survival(t: DSet, u: Word) -> Callable[[int], bool]:
     """alive(d): does u have a member extension at relative depth d >= 0?
 
     Every answer comes from one suspended descent through members below
@@ -162,7 +140,7 @@ def survival(t: Tree, u: Word) -> Callable[[int], bool]:
     return alive
 
 
-def has_descendant(t: Tree, u: Word, depth: int) -> bool:
+def has_descendant(t: DSet, u: Word, depth: int) -> bool:
     """Does u have a member extension at relative depth `depth`?
 
     Pruned search: only members are expanded, and a member at or past the
@@ -171,7 +149,7 @@ def has_descendant(t: Tree, u: Word, depth: int) -> bool:
     return survival(t, u)(depth)
 
 
-def survival_verdict(t: Tree, u: Word, depth: int) -> Verdict:
+def survival_verdict(t: DSet, u: Word, depth: int) -> Verdict:
     """YES(depth) when u keeps descendants at every relative depth up to
     `depth`; NO(m) names the least depth with none.  YES is exact, not
     provisional, once the tree stabilizes within the checked depth."""
@@ -182,7 +160,7 @@ def survival_verdict(t: Tree, u: Word, depth: int) -> Verdict:
     return Verdict.no(bound=next(m for m in range(depth + 1) if not alive(m)))
 
 
-def survivor_width(t: Tree, k: int, depth: int) -> int:
+def survivor_width(t: DSet, k: int, depth: int) -> int:
     """How many level-k members still have a descendant at level `depth`."""
     if k > depth:
         raise PreconditionError(f"need k <= depth, got k={k}, depth={depth}")
@@ -190,7 +168,7 @@ def survivor_width(t: Tree, k: int, depth: int) -> int:
         return sum(1 for u in members_at(t, k) if has_descendant(t, u, depth - k))
 
 
-def escape_witness(t: Tree, scan_cap: int) -> Callable[[Seq], int]:
+def escape_witness(t: DSet, scan_cap: int) -> Callable[[Seq], int]:
     """A witness locating, for each queried sequence, a prefix outside the
     tree; raises WitnessError when none shows up within the cap."""
     def wit(alpha: Seq) -> int:
@@ -210,7 +188,7 @@ class PathGen:
     traffic is recorded in `trace` for replay.
     """
 
-    def __init__(self, t: Tree, advance: Callable[[Word, list], int]):
+    def __init__(self, t: DSet, advance: Callable[[Word, list], int]):
         self._tree = t
         self._advance = advance
         self._bits: list[int] = []
@@ -247,7 +225,7 @@ class PathGen:
         return Seq.from_rule(rule)
 
 
-def find_path_convex_unique(t: Tree, wit: Callable[[Seq], int]) -> PathGen:
+def find_path_convex_unique(t: DSet, wit: Callable[[Seq], int]) -> PathGen:
     """Path generator for a convex tree asserted infinite with at most one
     path, driven by a witness producing prefixes outside the tree.
 

@@ -13,7 +13,7 @@ import itertools
 import random
 from typing import Callable
 
-from fankit import Bar, DSet, Seq, Tree, Leaf, Node, restrict, tree
+from fankit import Bar, DSet, Seq, Leaf, Node, restrict, tree
 from fankit.errors import WitnessError
 
 
@@ -46,14 +46,14 @@ def _tree_table(rng: random.Random, s: int, keep: float,
 
 
 def random_tree(rng: random.Random, s: int, ensure_infinite: bool = False,
-                keep: float = 0.7) -> Tree:
+                keep: float = 0.7) -> DSet:
     ray = tuple(rng.randrange(2) for _ in range(s)) if ensure_infinite else None
     table = _tree_table(rng, s, keep, ray)
     carrier = DSet(table_member(table, s), stab=s, restriction_closed=True)
     return tree(carrier, validate=False)
 
 
-def random_finite_tree(rng: random.Random, s: int, keep: float = 0.55) -> Tree:
+def random_finite_tree(rng: random.Random, s: int, keep: float = 0.55) -> DSet:
     table = _tree_table(rng, s, keep, None)
     for u in itertools.product((0, 1), repeat=s):
         table[u] = False
@@ -62,7 +62,7 @@ def random_finite_tree(rng: random.Random, s: int, keep: float = 0.55) -> Tree:
 
 
 def random_convex_tree(rng: random.Random, s: int, ensure_infinite: bool = False,
-                       die: float = 0.15) -> Tree:
+                       die: float = 0.15) -> DSet:
     """Members at each level form a lexicographic interval, so the tree is
     convex at every level, cones included."""
     table = {(): True}
@@ -116,10 +116,9 @@ def random_ext_closed_bar(rng: random.Random, s: int, keep: float = 0.5) -> Bar:
 def random_coconvex_bar(rng: random.Random, s: int) -> Bar:
     """Complement of a convex tree killed at the stabilization depth."""
     t = random_convex_tree(rng, s)
-    base = t.carrier
 
     def member(u: tuple) -> bool:
-        return not (base.member(u) and len(u) < s)
+        return not (t.member(u) and len(u) < s)
 
     carrier = DSet(member, stab=s, extension_closed=True, co_convex=True)
     return Bar(carrier, minimal_bar_witness(carrier, s + 2))

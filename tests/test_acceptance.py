@@ -90,7 +90,7 @@ def test_criterion_2_completion_suite():
                 assert t.member(u) == tc.member(u)
         # (c) convexity survives completion
         if t.convex:
-            assert convexity_verdict(tc.carrier, 8, "convex").is_yes
+            assert convexity_verdict(tc, 8, "convex").is_yes
         # (d) finite trees complete to a single surviving line
         else_finite = not brute_tree_infinite_to(t.member, s)
         if else_finite:

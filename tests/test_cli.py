@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fankit import Bar, ConstancyVerdict, DSet, Leaf, Node, Tree, Verdict, cli
+from fankit import Bar, ConstancyVerdict, DSet, Leaf, Node, Verdict, cli
 from fankit.certificate import Certificate
 from fankit.cli import COMMANDS, run
 from fankit.specfile import SpecError, parse_specdoc
@@ -43,7 +43,7 @@ def test_parse_basic_spec():
     doc = parse_specdoc(BASIC_SPEC)
     len2 = doc.get_set("len2")
     assert len2.member((0, 1)) and not len2.member((0,))
-    assert isinstance(doc.get_tree("zt"), Tree)
+    assert doc.get_tree("zt").restriction_closed
     assert isinstance(doc.get_bar("cb"), Bar)
     assert doc.get_functional("q2") == Node(2, Leaf(0), Leaf(1))
 
@@ -263,6 +263,32 @@ def test_run_find_path(tmp_path):
     assert code == 0
     assert "PATH=00000" in text
     assert "TRACE=llpo[bounded(h=8)]" in text
+
+
+@pytest.mark.parametrize("base, argv", [
+    ("complement(closure(finite(0, 10)))", ["find-path", "--bits", "5", "--oracle", "llpo:8"]),
+    ("complement(closure(finite(0, 10)))", ["complete-tree", "--depth", "4"]),
+    ("complement(len_ge(3))", ["complete-tree", "--depth", "4"]),
+    ("finite(e, 0, 1)", ["complete-tree", "--depth", "4"]),
+])
+def test_a_tree_is_a_set_flagged_restriction_closed(tmp_path, base, argv):
+    # restr_closed(x) is the set tree(x) is, so both answer alike but for
+    # the name in COMMAND=; a set closed by construction needs neither
+    spec = write_spec(tmp_path, f"t = tree({base})\nr = restr_closed({base})\n"
+                                f"x = {base}\n")
+    code, text = run([argv[0], "--spec", spec, "--tree", "t", *argv[1:]])
+    assert code == 0 and "VERDICT=YES\n" in text, text
+    for name in ("t", "r", "x") if base.startswith("complement") else ("t", "r"):
+        answer = run([argv[0], "--spec", spec, "--tree", name, *argv[1:]])
+        assert answer == (0, text.replace("--tree t ", f"--tree {name} "))
+        assert verify_text(tmp_path, spec, answer[1]) == (0, "VERIFY=OK\n")
+
+
+def test_a_set_not_flagged_restriction_closed_is_no_tree(tmp_path):
+    spec = write_spec(tmp_path, "s = len_ge(2)\nb = bar(s, const(2))\n")
+    for name, kind in (("s", "DSet"), ("b", "Bar")):
+        assert run(["find-path", "--spec", spec, "--tree", name, "--bits", "2"]) == \
+            (3, f"ERROR=PreconditionError: name {name!r} is a {kind}, but a tree is needed\n")
 
 
 def test_run_coconvex_bound(tmp_path):

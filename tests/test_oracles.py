@@ -122,7 +122,7 @@ def test_probe_tree_matches_direct_enumeration():
 def test_probe_tree_is_convex():
     for alpha in (ZERO, one_at(2), one_at(3), one_at(6)):
         probe = llpo_probe_tree(alpha)
-        assert convexity_verdict(probe.carrier, 8, "convex").is_yes
+        assert convexity_verdict(probe, 8, "convex").is_yes
 
 
 def path_oracle(horizon=12):

@@ -16,7 +16,7 @@ import pytest
 import fankit
 from fankit import (Bar, ConstancyVerdict, DecoVerdict, DefuVerdict, DSet,
                     FanOracle, LLPOOracle, Leaf, Node, Outcome, ProgramFunctional,
-                    Tree, Verdict, WKLOracle, tree)
+                    Verdict, WKLOracle, tree)
 from fankit.certificate import Certificate
 from fankit.specfile import SpecDoc, _Token, _Witness
 
@@ -28,7 +28,6 @@ RECORDS = {
     DSet: (("member_fn", "stab", "extension_closed", "restriction_closed", "convex",
             "co_convex", "levels_fn"), (None, False, False, False, False, None)),
     Verdict: (("outcome", "bound", "witness", "escape", "depth"), (None, None, None, None)),
-    Tree: (("carrier", "horizon"), (8,)),
     Bar: (("carrier", "wit"), (None,)),
     FanOracle: (("raw_bound", "tag", "reverify"), (True,)),
     LLPOOracle: (("decide", "tag"), ()),
@@ -143,8 +142,6 @@ def test_reprs():
     assert repr(DSet(member)) == "DSet[plain]"
     assert repr(DSet(member, 3, True, False, True)) == "DSet[stab=3 extension_closed convex]"
     assert repr(DSet(member, co_convex=True)) == "DSet[co_convex]"
-    assert repr(Tree(DSet(member, restriction_closed=True))) == \
-        "Tree(carrier=DSet[restriction_closed], horizon=8)"
 
 
 def test_replace_makes_a_changed_copy():
@@ -153,12 +150,10 @@ def test_replace_makes_a_changed_copy():
     assert closed == DSet(member, 3, restriction_closed=True, convex=True)
     assert d == DSet(member, stab=3)  # the original is unchanged
     assert d.replace() == d and d.replace() is not d
-    t = Tree(closed)
-    assert t.replace(horizon=5) == Tree(closed, 5) and t.horizon == 8
     with pytest.raises(TypeError):
         d.replace(no_such_field=True)
     # tree() flags its carrier restriction-closed through replace
-    assert tree(DSet(member), validate=False).carrier == DSet(member, restriction_closed=True)
+    assert tree(DSet(member), validate=False) == DSet(member, restriction_closed=True)
 
 
 # The names `import fankit` gives; a rewrite of the package's __init__
@@ -168,7 +163,7 @@ PUBLIC_NAMES = {
     "DecoVerdict", "DefuVerdict", "EMPTY", "FanOracle", "FankitError", "FuelError",
     "Functional", "InconsistencyError", "LLPOOracle", "Leaf", "Node", "ONE",
     "OutOfRangeError", "Outcome", "Parity", "PathGen", "PreconditionError",
-    "ProgramFunctional", "Seq", "Tree", "Verdict", "WKLOracle", "WitnessError", "Word",
+    "ProgramFunctional", "Seq", "Verdict", "WKLOracle", "WitnessError", "Word",
     "ZERO", "bar_from_pc", "bar_verdict", "bit_at", "bound_of", "cfan_bound", "closure",
     "coconvex_bound", "complement", "complete", "concat", "convexity_verdict",
     "count_ones_ge", "deco_decide", "defu_set_from_functional", "defu_via_wkl", "dset",
@@ -182,7 +177,7 @@ PUBLIC_NAMES = {
     "materialize", "members_at", "minimal_witness", "parse_word", "path_modulus",
     "pointwise_modulus", "query_depth", "replay", "residual", "restrict", "restrict_set",
     "survival", "survival_verdict", "survivor_width", "tree", "uc_bound_bruteforce",
-    "uc_via_fan", "uniform_bound", "uniform_bound_ext_closed", "union_sets",
+    "uc_via_fan", "uniform_bound", "union_sets",
     "wkl_from_llpo", "wkl_oracle_from_llpo", "wkl_unique_from_fan", "word",
 }
 
@@ -192,6 +187,22 @@ def test_the_public_names_stay():
                 and not isinstance(getattr(fankit, name), types.ModuleType)}
     assert exported == PUBLIC_NAMES
     assert fankit.__version__
+
+
+def test_the_readme_library_example_does_what_its_comments_say():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```\n", 1)[0]
+    names: dict = {}
+    exec(block, names)
+    promised = {"coconvex_bound(bar)": "== 3", "uniform_bound(carrier, 8).bound": "== 3",
+                "gen.take(4)": "(1, 0, 0, 0)"}
+    # each line `expression  # value, remark` with code before its comment
+    comments = {code.strip(): comment.strip() for code, comment in
+                (line.split("#", 1) for line in block.splitlines() if "#" in line[1:])}
+    for expression, value in promised.items():
+        assert comments[expression].startswith(value), expression
+        assert eval(expression, names) == eval(value.removeprefix("== "))
 
 
 def test_importing_the_cli_loads_no_code_generator():

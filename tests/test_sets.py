@@ -10,8 +10,9 @@ import pytest
 from fankit import (DSet, bar_verdict, closure, complement,
                     convexity_verdict, dset, finite_set, full_set, interior,
                     iter_level, len_ge, restrict, restrict_set, uniform_bound,
-                    uniform_bound_ext_closed, union_sets)
+                    union_sets)
 from fankit import sets
+from fankit._budget import one_meter
 from fankit.errors import BudgetExceededError, PreconditionError
 from fankit.sets import validate_claims
 from fankit.specfile import SpecError, parse_specdoc
@@ -168,29 +169,13 @@ def test_uniform_bound_unknown():
 
 def test_uniform_bound_ext_closed():
     b1 = closure(finite_set([(0,), (1,)]))
-    assert uniform_bound_ext_closed(b1, 6).bound == 1
+    assert uniform_bound(b1, 6).bound == 1
     b2 = closure(finite_set([(0, 0), (0, 1), (1,)]))
-    v = uniform_bound_ext_closed(b2, 6)
+    v = uniform_bound(b2, 6)
     assert v.is_yes and v.bound == 2
     assert brute_least_uniform_bound(b2.member, 6) == 2
     b3 = closure(finite_set([]))
-    assert uniform_bound_ext_closed(b3, 6).is_unknown
-
-
-def test_uniform_bound_ext_closed_requires_flag():
-    with pytest.raises(PreconditionError):
-        uniform_bound_ext_closed(DSet(lambda u: True), 4)
-
-
-def test_uniform_bound_routes_agree_on_closed_sets():
-    rng = random.Random(13)
-    for _ in range(25):
-        b = closure(random_dset(rng, rng.randrange(0, 6)))
-        via_levels = uniform_bound_ext_closed(b, 7)
-        via_prefixes = uniform_bound(b, 7)
-        assert via_levels.outcome == via_prefixes.outcome
-        if via_levels.is_yes:
-            assert via_levels.bound == via_prefixes.bound
+    assert uniform_bound(b3, 6).is_unknown
 
 
 def test_convexity_verdict_examples():
@@ -472,12 +457,27 @@ def test_convexity_verdict_on_spec_built_sets_matches_bruteforce():
 
 def test_convexity_charges_each_level_before_reading_it(monkeypatch):
     # convexity charges each level just before it reads it, so a gap at
-    # level 2 answers at a depth whose full scan the budget would refuse
+    # level 2 answers at a depth whose full scan the budget would refuse;
+    # the levels share one meter, so levels 0..3 (15 words) are refused
     monkeypatch.setenv("FANKIT_BUDGET", "8")
     for a in (finite_set([(0, 0), (1, 1)]), DSet(finite_set([(0, 0), (1, 1)]).member_fn)):
         assert convexity_verdict(a, 10 ** 6).witness == ((0, 0), (0, 1), (1, 1))
-        with pytest.raises(BudgetExceededError, match="level enumeration at level 4"):
+        with pytest.raises(BudgetExceededError,
+                           match="^level enumeration at level 3: 15 words used, budget 8$"):
             convexity_verdict(complement(a), 10 ** 6)
+
+
+def test_one_convexity_call_charges_one_meter(monkeypatch):
+    monkeypatch.setenv("FANKIT_BUDGET", "100")
+    full = DSet(lambda u: True)
+    assert convexity_verdict(full, 5).is_yes  # levels 0..5: 63 words
+    with pytest.raises(BudgetExceededError) as refused:
+        convexity_verdict(full, 6)
+    assert str(refused.value) == "level enumeration at level 6: 127 words used, budget 100"
+    with one_meter():  # inside a run the call charges the run's meter
+        with pytest.raises(BudgetExceededError,
+                           match="^level enumeration at level 6: 127 words used"):
+            convexity_verdict(full, 6)
 
 
 def test_stab_propagation():

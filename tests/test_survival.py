@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from fankit import (DSet, Tree, fan_bruteforce, full_set, has_descendant,
+from fankit import (DSet, fan_bruteforce, full_set, has_descendant,
                     llpo_bounded_oracle, parse_word, survival, survival_verdict, tree,
                     wkl_from_llpo, wkl_unique_from_fan)
 from fankit.errors import BudgetExceededError, CertificateError
@@ -27,7 +27,7 @@ def survival_trees(seed: int, count: int):
         make = rng.choice((random_tree, random_finite_tree, random_convex_tree))
         t = make(rng, rng.randrange(1, 6))
         yield t
-        yield Tree(DSet(t.member, restriction_closed=True))
+        yield DSet(t.member, restriction_closed=True)
     yield from random_trees(seed, count)
 
 
@@ -125,9 +125,9 @@ def test_a_member_past_stab_answers_every_depth(monkeypatch):
     assert alive(5000) and alive(3) and alive(0)
 
 
-def counted(t: Tree, calls: list) -> Tree:
-    return Tree(DSet(lambda u: calls.append(u) or t.member(u), stab=t.stab,
-                     restriction_closed=True))
+def counted(t: DSet, calls: list) -> DSet:
+    return DSet(lambda u: calls.append(u) or t.member(u), stab=t.stab,
+                restriction_closed=True)
 
 
 def test_one_walk_costs_the_visits_of_its_deepest_question(monkeypatch):
@@ -138,7 +138,7 @@ def test_one_walk_costs_the_visits_of_its_deepest_question(monkeypatch):
     small = [(full_to_6, (), 7), (full_to_6, (1, 0), 5)]
     for _ in range(6):
         t = random_tree(rng, 6, ensure_infinite=True)
-        small.append((Tree(DSet(t.member, restriction_closed=True)), (0,), 8))
+        small.append((DSet(t.member, restriction_closed=True), (0,), 8))
     for t, u, depth in small:
         cases.append((t, u, depth,
                       [brute_has_descendant(t.member, u, d) for d in range(depth + 1)]))

@@ -6,11 +6,12 @@ import random
 
 import pytest
 
+import fankit
 from fankit import (DSet, Seq, bar_verdict, complete, convexity_verdict, dset,
                     escape_witness, find_path_convex_unique, finite_set,
                     full_set, has_descendant, is_infinite_to, is_summit, iter_level,
                     least_uniform_bound, len_ge, llpo_bounded, llpo_bounded_oracle,
-                    llpo_from_path_oracle, members_at, survival_verdict,
+                    llpo_from_path_oracle, llpo_probe_tree, members_at, survival_verdict,
                     survivor_width, tree, uniform_bound, wkl_from_llpo)
 from fankit.errors import (BudgetExceededError, CertificateError, InconsistencyError,
                            PreconditionError)
@@ -49,6 +50,18 @@ def spine_tree():
 def test_tree_factory_validates_restriction_closure():
     with pytest.raises(PreconditionError):
         tree(DSet(lambda u: len(u) == 2))
+
+
+def test_a_tree_is_a_set_flagged_restriction_closed():
+    assert not hasattr(fankit, "Tree") and not hasattr(fankit.trees, "Tree")
+    base = finite_set([(), (0,), (1,)])
+    finite = tree(base)
+    # tree() keeps the set's membership and flags, and adds only the flag
+    assert finite == base.replace(restriction_closed=True)
+    made = [finite, tree(full_set()), complete(finite), complete(tree(finite_set([]))),
+            complete(zero_ray_tree(stab=1)), llpo_probe_tree(Seq.eventually_constant((), 0))]
+    for t in made:
+        assert type(t) is DSet and t.restriction_closed
 
 
 def test_is_infinite_to():
@@ -273,7 +286,7 @@ def test_completion_suite_random_trees():
             for k in range(9):
                 assert survivor_width(tc, k, 8) <= 1
         if t.convex:
-            assert convexity_verdict(tc.carrier, 8, "convex").is_yes
+            assert convexity_verdict(tc, 8, "convex").is_yes
         # depth-8 survivor prefixes of the completion restrict into the tree
         for k in range(9):
             for u in members_at(tc, k):
