@@ -26,7 +26,7 @@ from ._budget import check_depth, meter, read_count
 from ._record import Record
 from .continuity import Functional, Leaf, Node, eval_word, least_escape
 from .errors import BudgetExceededError, FankitError
-from .sets import DSet, avoid_height
+from .sets import DSet, avoid_descent
 from .specfile import SpecDoc
 from .trees import complete, tree_levels
 from .words import Word, format_word, parse_word
@@ -110,7 +110,7 @@ def _check_uniform(carrier: DSet, n: int, least: bool = False) -> tuple[bool, li
     """Is n a uniform bound of the carrier (and, with least, the least)?
     Both answers come from one descent of the avoid tree, whose height
     is n - 1 exactly when n is the least bound."""
-    top, escape = avoid_height(carrier, n)
+    top, escape = avoid_descent(carrier, n)
     if escape is not None:
         return False, [f"word {format_word(escape)} at level {n} has no prefix "
                        "in the carrier"]
@@ -178,7 +178,7 @@ def _check_scan(cert: Certificate, carrier: DSet, limit: int, limit_flag: str,
     if depth != limit:
         return False, [f"UNKNOWN names depth {depth}, not {limit_flag} {limit}"]
     if stab_decides and carrier.stab is not None and carrier.stab <= depth \
-            or avoid_height(carrier, depth)[1] is None:
+            or avoid_descent(carrier, depth)[1] is None:
         return False, [f"a scan to depth {depth} decides the question; UNKNOWN was wrong"]
     return True, []
 
@@ -191,19 +191,14 @@ def check_uniform_bound(cert: Certificate, doc: SpecDoc, name: str, limit: int):
     return _check_scan(cert, doc.get_set(name), limit, "--max", False)
 
 
-def level_listing(t: DSet, depth: int) -> list[str]:
-    """The WITNESS= values of complete-tree: for each level k of t's completion
-    up to depth, "k:" and its members in lex order."""
-    return [f"{k}:{' '.join(map(format_word, level))}"
-            for k, level in enumerate(tree_levels(complete(t), depth))]
-
-
 def check_complete_tree(cert: Certificate, doc: SpecDoc, name: str, depth: int):
-    """The listing must be level_listing's, line for line and in order."""
+    """The listing must be one descent's listing of the completion, line
+    for line and in order."""
     listing = cert.values("WITNESS")
     for value in listing:
         _count(value.split(":", 1)[0], "WITNESS level")
-    expected = level_listing(doc.get_tree(name), depth)
+    levels = tree_levels(complete(doc.get_tree(name)), depth)
+    expected = [f"{k}:{' '.join(map(format_word, level))}" for k, level in enumerate(levels)]
     issues = [f"WITNESS line {k}: certificate says {got!r}, recomputation says {want!r}"
               for k, (got, want) in enumerate(zip_longest(listing, expected))
               if got != want]

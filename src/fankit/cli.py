@@ -15,7 +15,7 @@ from ._budget import RUN_METER, Meter, check_depth, read_count
 from .certificate import (Certificate, CertificateFormatError, check_bar_check,
                           check_coconvex_bound, check_complete_tree, check_deco,
                           check_defu, check_find_path, check_uc_bound,
-                          check_uniform_bound, level_listing, verify)
+                          check_uniform_bound, verify)
 from .continuity import deco_decide, defu_via_wkl, path_modulus, query_depth, \
     uc_bound_bruteforce, uc_via_fan
 from .errors import (BudgetExceededError, CertificateError, FankitError,
@@ -26,6 +26,7 @@ from .oracles import WKLOracle, llpo_bounded_oracle, wkl_from_llpo, \
     wkl_oracle_from_llpo
 from .sets import bar_verdict, uniform_bound
 from .specfile import SpecError, load_specdoc
+from .trees import level_listing
 from .words import format_word, restrict
 
 EXIT_YES = 0

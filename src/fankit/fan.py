@@ -3,7 +3,7 @@
 A Bar packages a carrier set with an optional witness that locates, for
 any sequence, a prefix inside the carrier; witness answers are re-checked
 on every call.  Fan oracles turn bars into uniform bounds; every returned
-bound is verified by a descent of the bar's avoid tree before release,
+bound is verified against the bar's avoid tree before release,
 so an oracle is never trusted blindly.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ._budget import one_meter
 from ._record import FrozenRecord, _set
 from .errors import (CertificateError, InconsistencyError, PreconditionError,
                      WitnessError)
@@ -140,8 +141,8 @@ def coconvex_bound(b: Bar) -> int:
 
     The closure keeps co-convexity, its complement is a convex tree, and
     the probe-driven descent walks the completion's unique surviving ray.
-    The witness applied to that ray gives the bound, re-verified by a
-    descent of the closure's avoid tree.
+    The witness applied to that ray gives the bound, re-verified by the
+    closure's avoid tree.  Every scan of the call charges one meter.
     """
     if b.wit is None:
         raise PreconditionError("bar must carry a witness")
@@ -152,20 +153,21 @@ def coconvex_bound(b: Bar) -> int:
         raise PreconditionError(
             "carrier needs a stabilization depth (the completion requires one)")
     t = complement(closed)
-    completed = complete(t)
+    with one_meter():
+        completed = complete(t)
 
-    def exit_wit(alpha: Seq) -> int:
-        # a probe u,b,c,c,... still in completed past the stab and its first tail
-        # bit c stays in it: t's cones are frozen there, and the zero ray needs c = 0
-        base = b.query(alpha)
-        for m in range(base, max(base, len(alpha.prefix) + 1, closed.stab) + 1):
-            if not completed.member(restrict(alpha, m)):
-                return m
-        raise WitnessError("probe never left the completed tree")
+        def exit_wit(alpha: Seq) -> int:
+            # a probe u,b,c,c,... still in completed past the stab and its first tail
+            # bit c stays in it: t's cones are frozen there, and the zero ray needs c = 0
+            base = b.query(alpha)
+            for m in range(base, max(base, len(alpha.prefix) + 1, closed.stab) + 1):
+                if not completed.member(restrict(alpha, m)):
+                    return m
+            raise WitnessError("probe never left the completed tree")
 
-    gen = find_path_convex_unique(completed, exit_wit)
-    n = b.query(gen.as_seq())
-    _, escape = avoid_height(closed, n)
+        gen = find_path_convex_unique(completed, exit_wit)
+        n = b.query(gen.as_seq())
+        _, escape = avoid_height(closed, n)
     if escape is not None:
         raise CertificateError(
             f"level {n} is not inside the closed carrier (saw {format_word(escape)})")

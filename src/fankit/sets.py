@@ -482,14 +482,79 @@ def descent_height(keep: MemberFn, depth: int) -> tuple[int, Word | None]:
     return top, None
 
 
+# A level is built as a mask only while it is at most this many times wider
+# than the words the descent visits there, and only down to the last level
+# here (2^26 bits, 8 MB), whatever the budget.
+_MASK_WIDTH = 64
+_MASK_LEVELS = 26
+
+
+def level_descent(ds: DSet, depth: int, members: bool,
+                  room: int) -> tuple[list[int], int] | None:
+    """The descent through ds's members (members=False: its non-members)
+    cut at depth, done a whole level at a time: the masks of the words it
+    keeps at levels 0..h, h its height, and the number of words it visits.
+
+    Level n keeps the children of level n - 1's kept words that are (or
+    are not) in ds.  The descent visits the root, then at each level n the
+    2 * popcount of level n - 1's kept words.  None, so that the caller
+    descends word by word instead, when ds has no level evaluator, when a
+    level would be a mask more than _MASK_WIDTH times wider than the words
+    visited there, or when the visits pass room.  Nothing is charged.
+    """
+    check_nonnegative(depth, "depth")
+    if ds.levels_fn is None or room < 1:
+        return None
+    rows = ds.levels_fn(depth)
+    if not members:
+        rows = (~row for row in rows)
+    level, kept, visits = next(rows) & 1, [], 1
+    for n in range(1, depth + 1):
+        if not level:
+            break
+        kept.append(level)
+        seen = 2 * level.bit_count()
+        visits += seen
+        if visits > room or n > _MASK_LEVELS or 1 << n > _MASK_WIDTH * seen:
+            return None
+        level = _spread(level, n - 1) & next(rows)
+    if level:
+        kept.append(level)
+    return kept, visits
+
+
+def avoid_descent(b: DSet, depth: int) -> tuple[int, Word | None]:
+    """descent_height of b's avoid tree: the words with no prefix in b."""
+    return descent_height(lambda u: not b.member(u), depth)
+
+
 def avoid_height(b: DSet, depth: int) -> tuple[int, Word | None]:
-    """descent_height of b's avoid tree: the words with no prefix in b.
+    """avoid_descent's answer, from level masks where level_descent gives
+    them, and charged the words avoid_descent visits either way.
 
     The avoid tree is restriction-closed, so N is a uniform bound exactly
     when it has no level-N word, and the least bound is its height + 1.
     The level-depth word, when there is one, is the lex-first escape.
     """
-    return descent_height(lambda u: not b.member(u), depth)
+    check_nonnegative(depth, "depth")
+    m = meter()
+    got = level_descent(b, depth, False, m.limit - m.used)
+    if got is None:
+        return avoid_descent(b, depth)
+    kept, visits = got
+    if len(kept) <= depth:
+        m.tick("descent", None, visits)
+        return len(kept) - 1, None
+    x = _lowest(kept[depth])
+    # the descent stops at x: at each level n it has visited the root, or
+    # the children of the kept words before x's prefix y's parent, then
+    # y's 0-sibling when y is a 1-child, then y
+    visits = 1
+    for n in range(1, depth + 1):
+        y = x >> (depth - n)
+        visits += 2 * (kept[n - 1] & ((1 << (y >> 1)) - 1)).bit_count() + (y & 1) + 1
+    m.tick("descent", None, visits)
+    return depth, _word(x, depth)
 
 
 def least_uniform_bound(b: DSet, max_n: int) -> int | None:

@@ -9,11 +9,12 @@ full levels.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
-from ._budget import check_depth, check_nonnegative, one_meter
+from ._budget import check_depth, check_nonnegative, meter, one_meter
 from .errors import CertificateError, InconsistencyError, PreconditionError, WitnessError
-from .sets import DEFAULT_HORIZON, DSet, Verdict, descend, validate_claims
+from .sets import (DEFAULT_HORIZON, DSet, Verdict, _value, descend, level_descent,
+                   validate_claims)
 from .words import EMPTY, Seq, Word, format_word, restrict
 
 
@@ -39,6 +40,39 @@ def tree_levels(t: DSet, depth: int) -> list[list[Word]]:
             listing.tick("level listing", len(u), len(u))
             levels[len(u)].append(u)
     return levels
+
+
+def level_listing(t: DSet, depth: int) -> list[str]:
+    """The WITNESS= values of complete-tree: for each level k of t's
+    completion up to depth, "k:" and its members in lex order.
+
+    Rendered straight from the completion's level masks when level_descent
+    gives them and the listing fits the budget, else from tree_levels; the
+    listing is charged what tree_levels charges either way.
+    """
+    c = complete(t)
+    check_depth(depth, "level listing")
+    m = meter()
+    room = m.limit - m.used
+    got = level_descent(c, depth, True, room)
+    if got is not None:
+        kept, visits = got
+        charge = visits + sum(n * row.bit_count() for n, row in enumerate(kept))
+        if charge <= room:
+            m.tick("level listing", None, charge)
+            kept += [0] * (depth + 1 - len(kept))
+            return [f"{n}:{_render(row, n)}" for n, row in enumerate(kept)]
+    return [f"{k}:{' '.join(map(format_word, level))}"
+            for k, level in enumerate(tree_levels(c, depth))]
+
+
+def _render(row: int, n: int) -> str:
+    """The words of a level-n mask, in lex order, as format_word writes them."""
+    if n == 0:
+        return format_word(EMPTY) if row else ""
+    form = f"0{n}b"
+    return " ".join([format(v, form) for v, bit in enumerate(format(row, "b")[::-1])
+                     if bit == "1"])
 
 
 def members_at(t: DSet, n: int) -> list[Word]:
@@ -96,7 +130,7 @@ def complete(t: DSet) -> DSet:
     head = _summit(t)
     if head is None:
         return t
-    hl = len(head)
+    hl, at = len(head), _value(head)
 
     def mem(u: Word) -> bool:
         if not u:
@@ -105,10 +139,20 @@ def complete(t: DSet) -> DSet:
             return True
         return t.member(u)
 
-    return DSet(mem, restriction_closed=True, convex=t.convex)
+    def levels(depth: int) -> Iterator[int]:
+        for n, row in enumerate(t.levels_fn(depth)):
+            if n == 0:
+                row |= 1  # the root
+            if n >= hl:
+                row |= 1 << (at << (n - hl))  # head followed by n - hl zeros
+            yield row
+
+    return DSet(mem, restriction_closed=True, convex=t.convex,
+                levels_fn=None if t.levels_fn is None else levels)
 
 
-def survival(t: DSet, u: Word) -> Callable[[int], bool]:
+def survival(t: DSet, u: Word,
+             meet: Callable[[Word], None] | None = None) -> Callable[[int], bool]:
     """alive(d): does u have a member extension at relative depth d >= 0?
 
     Every answer comes from one suspended descent through members below
@@ -118,6 +162,7 @@ def survival(t: DSet, u: Word) -> Callable[[int], bool]:
     visits of one has_descendant(t, u, K).  A member at or past the
     stabilization depth owns a full cone and answers every depth; an
     exhausted walk answers every depth past the deepest member it met.
+    Each member that takes the walk deeper than before is handed to meet.
     An error from the walk ends it: ask a fresh survival after one.
     """
     s = t.stab
@@ -133,8 +178,12 @@ def survival(t: DSet, u: Word) -> Callable[[int], bool]:
                 return False
             if s is not None and len(v) >= s:
                 top = math.inf
+            elif len(v) - len(u) > top:
+                top = len(v) - len(u)
             else:
-                top = max(top, len(v) - len(u))
+                continue
+            if meet is not None:
+                meet(v)
         return True
 
     return alive
@@ -192,9 +241,25 @@ class PathGen:
         self._tree = t
         self._advance = advance
         self._bits: list[int] = []
+        # the deepest member survives' walks have met, and its walk's root
+        self._deepest, self._root = EMPTY, EMPTY
         self.trace: list[str] = []
         if not t.member(EMPTY):
             raise InconsistencyError(EMPTY, "tree has no root, cannot carry a path")
+
+    def survives(self, v: Word, d: int) -> bool:
+        """has_descendant(tree, v, d), with no walk when the deepest member
+        this generator's walks have met extends v by d bits or more, and v
+        its walk's root: that walk found every word from v down to it a
+        member, the one d bits below v included."""
+        deep = self._deepest
+        if len(deep) - len(v) >= d and len(v) >= len(self._root) and deep[:len(v)] == v:
+            return True
+
+        def meet(w: Word) -> None:
+            if len(w) > len(self._deepest):
+                self._deepest, self._root = w, v
+        return survival(self._tree, v, meet)(d)
 
     @property
     def prefix(self) -> Word:
@@ -261,8 +326,8 @@ def find_path_convex_unique(t: DSet, wit: Callable[[Seq], int]) -> PathGen:
             raise CertificateError(
                 f"verified exit at {n} sits inside the current node {format_word(u)}; "
                 "the carrier is not restriction-closed")
-        alive0 = has_descendant(t, u + (0,), r - 1)
-        alive1 = has_descendant(t, u + (1,), r - 1)
+        alive0 = gen.survives(u + (0,), r - 1)
+        alive1 = gen.survives(u + (1,), r - 1)
         trace.append(f"scan@{format_word(u)}:r={r}:{int(alive0)}{int(alive1)}")
         if alive0 and alive1:
             raise CertificateError(
@@ -272,4 +337,5 @@ def find_path_convex_unique(t: DSet, wit: Callable[[Seq], int]) -> PathGen:
             raise InconsistencyError(u, "no child retains members at the probe level")
         return 0 if alive0 else 1
 
-    return PathGen(t, advance)
+    gen = PathGen(t, advance)  # advance asks gen, which exists before its first call
+    return gen

@@ -17,7 +17,7 @@ import pytest
 from fankit import Bar, ConstancyVerdict, DSet, Leaf, Node, Verdict, cli
 from fankit.certificate import Certificate
 from fankit.cli import COMMANDS, run
-from fankit.specfile import SpecError, parse_specdoc
+from fankit.specfile import SpecDoc, SpecError, parse_specdoc
 
 
 BASIC_SPEC = """\
@@ -623,6 +623,66 @@ def test_find_path_bits_are_capped_and_every_scan_is_charged(tmp_path, monkeypat
     # linearly with the path, not with its square
     assert "TRACE=llpo[bounded(h=16)]@0=EVENS;llpo[bounded(h=16)]@1=EVENS;" in text
     assert len(text.encode()) < 64 << 10
+
+
+def _levels_of_lookups(monkeypatch, levels_fn):
+    """Make every set and tree a run looks up carry levels_fn(ds) as its
+    level evaluator; nothing else about them changes."""
+    lookup = SpecDoc._lookup
+
+    def patched(self, name, wanted):
+        found = lookup(self, name, wanted)
+        if isinstance(found, DSet) and found.levels_fn is not None:
+            found = found.replace(levels_fn=levels_fn(found))
+        return found
+    monkeypatch.setattr(SpecDoc, "_lookup", patched)
+
+
+MASK_RUNS = [(["uniform-bound", "--set", "s", "--max", "6"], "s = len_ge(3)", 3, 0),
+             (["bar-check", "--set", "s", "--depth", "6"], "s = len_ge(3)", 3, 0),
+             (["complete-tree", "--tree", "t", "--depth", "4"],
+              "t = tree(complement(len_ge(3)))", 2, 1)]
+
+
+@pytest.mark.parametrize("argv, line, level, word", MASK_RUNS)
+def test_verify_catches_a_level_evaluator_that_drops_a_word(tmp_path, monkeypatch,
+                                                            argv, line, level, word):
+    # the producer reads the set's levels as masks; an evaluator that
+    # drops one member of level `level` misleads it, and verify, which
+    # descends through membership, says so
+    spec = write_spec(tmp_path, line + "\n")
+    honest = run(argv[:1] + ["--spec", spec] + argv[1:])
+
+    def dropping(ds):
+        def levels(depth):
+            for n, row in enumerate(ds.levels_fn(depth)):
+                yield row & ~(1 << word) if n == level else row
+        return levels
+
+    with monkeypatch.context() as patch:
+        _levels_of_lookups(patch, dropping)
+        code, text = run(argv[:1] + ["--spec", spec] + argv[1:])
+    assert code == 0 and text != honest[1]
+    vcode, report = verify_text(tmp_path, spec, text)
+    assert vcode == 1 and report.startswith("VERIFY=FAIL\nDIFF="), report
+
+
+@pytest.mark.parametrize("argv, line", [run[:2] for run in MASK_RUNS] + [
+    (["bar-check", "--set", "s", "--depth", "9"], "s = intersect(len_ge(8), complement(prefix(101)))"),
+    (["uniform-bound", "--set", "s", "--max", "7"], "s = closure(union(len_ge(9), prefix(11)))"),
+    (["complete-tree", "--tree", "t", "--depth", "9"], "t = tree(complement(closure(finite(011))))")])
+def test_verify_reads_no_level_evaluator(tmp_path, monkeypatch, argv, line):
+    spec = write_spec(tmp_path, line + "\n")
+    code, text = run(argv[:1] + ["--spec", spec] + argv[1:])
+    assert code in (0, 1, 2) and text.startswith("FANKIT-CERT\n")
+
+    def refusing(ds):
+        def levels(depth):
+            raise AssertionError("verify read a level evaluator")
+        return levels
+
+    _levels_of_lookups(monkeypatch, refusing)
+    assert verify_text(tmp_path, spec, text) == (0, "VERIFY=OK\n")
 
 
 def test_a_level_listing_is_charged_by_its_bits(tmp_path, monkeypatch):

@@ -13,17 +13,20 @@ import pytest
 
 from fankit import (DSet, bar_verdict, closure, complement, complete, finite_set,
                     full_set, is_infinite_to, is_summit, least_uniform_bound, len_ge,
-                    members_at, restrict, survivor_width, tree)
+                    members_at, restrict, survivor_width, tree, uniform_bound)
+from fankit import sets, trees
 from fankit._budget import MAX_SCAN_DEPTH, RUN_METER, Meter
-from fankit.errors import BudgetExceededError
-from fankit.sets import avoid_height, descend, descent_height
-from fankit.specfile import parse_specdoc
-from fankit.trees import tree_levels
+from fankit.errors import BudgetExceededError, PreconditionError
+from fankit.sets import avoid_descent, avoid_height, descend, descent_height
+from fankit.specfile import SpecError, parse_specdoc
+from fankit.trees import level_listing, tree_levels
+from fankit.words import format_word
 
 from bruteforce import (all_words, brute_completion, brute_first_escape,
                         brute_least_empty_level, brute_least_uniform_bound,
                         brute_level_members, brute_summit, has_prefix_in)
 from test_cli import random_set_text, random_word_text
+from test_sets import random_spec_set
 
 
 def random_sets(seed: int, count: int):
@@ -274,3 +277,166 @@ def test_full_tree_levels_still_exceed_the_budget(monkeypatch):
     monkeypatch.setenv("FANKIT_BUDGET", "1024")
     with pytest.raises(BudgetExceededError):
         tree_levels(complete(tree(full_set(), validate=False)), 12)
+
+
+# ---------------------------------------------------------------------------
+# The level route: avoid_height and level_listing read whole levels as masks
+# where they can, and must answer, charge and refuse as the descent does.
+
+def _charged(scan, *args):
+    """scan(*args), or the text of its refusal, and the words it charged,
+    in a run of its own."""
+    def go():
+        RUN_METER.set(Meter())
+        try:
+            got = scan(*args)
+        except (BudgetExceededError, PreconditionError) as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        return got, RUN_METER.get().used
+    return contextvars.copy_context().run(go)
+
+
+def _recorded(ds, pulled):
+    """ds with a level evaluator that notes in pulled each level it yields."""
+    def levels(depth):
+        for n, row in enumerate(ds.levels_fn(depth)):
+            pulled.append(n)
+            yield row
+    return ds.replace(levels_fn=levels)
+
+
+def _kept_per_level(keep, depth):
+    """How many words the descent keeps at each level 0..depth."""
+    def go():
+        RUN_METER.set(Meter())
+        counts = [0] * (depth + 1)
+        for u in descend(keep, depth):
+            counts[len(u)] += 1
+        return counts
+    return contextvars.copy_context().run(go)
+
+
+def _assert_masks_narrow(pulled, keep, depth):
+    """No level was built as a mask wider than 64 times the words the
+    descent visits there: the root, or both children of each kept word
+    one level up."""
+    kept = _kept_per_level(keep, depth)
+    for n in pulled:
+        assert n == 0 or 1 << n <= 64 * 2 * kept[n - 1], (n, kept)
+
+
+def _descent_listing(t, depth):
+    levels = tree_levels(complete(t), depth)
+    return [f"{k}:{' '.join(map(format_word, level))}" for k, level in enumerate(levels)]
+
+
+def _budgets(rng, used):
+    """Budgets 1-5000, the descent's exact charge and one word less, and the default."""
+    budgets = {rng.randrange(1, 5001), rng.randrange(1, 200), used - 1, used}
+    return sorted(budget for budget in budgets if budget > 0) + [None]
+
+
+def _route_counter(monkeypatch, module):
+    """Counts of level_descent's answers as seen by module: [fell back, masks]."""
+    counts = [0, 0]
+    primitive = sets.level_descent
+
+    def counted(*args):
+        got = primitive(*args)
+        counts[got is not None] += 1
+        return got
+    monkeypatch.setattr(module, "level_descent", counted)
+    return counts
+
+
+def test_avoid_height_by_levels_matches_the_descent(monkeypatch):
+    rng = random.Random(1801)
+    routes = _route_counter(monkeypatch, sets)
+    cases = 0
+    while cases < 120:
+        text = random_spec_set(rng)
+        try:
+            b = parse_specdoc(f"b = {text}\n").get_set("b")
+        except SpecError:
+            continue
+        cases += 1
+        depth = rng.randrange(0, 17)
+        pulled = []
+        if b.levels_fn is not None:
+            b = _recorded(b, pulled)
+        monkeypatch.delenv("FANKIT_BUDGET", raising=False)
+        for budget in _budgets(rng, _charged(avoid_descent, b, depth)[1]):
+            if budget is None:
+                monkeypatch.delenv("FANKIT_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("FANKIT_BUDGET", str(budget))
+            assert _charged(avoid_height, b, depth) == _charged(avoid_descent, b, depth), \
+                (text, depth, budget)
+        _assert_masks_narrow(pulled, lambda u: not b.member(u), depth)
+    assert routes[1] > 150 and routes[0] > 50, routes
+
+
+def test_level_listing_by_levels_matches_the_descent(monkeypatch):
+    rng = random.Random(1802)
+    routes = _route_counter(monkeypatch, trees)
+    texts = [f"tree(complement(closure({random_spec_set(rng)})))" for _ in range(40)]
+    texts += ["tree(finite(e, 0, 01, 011))", "tree(finite())", "tree(finite(e))",
+              "tree(complement(closure(count_ones_ge(3))))"]
+    ray = 0
+    for text in texts:
+        try:
+            t = parse_specdoc(f"t = {text}\n").get_tree("t")
+        except SpecError:
+            continue
+        depth = rng.randrange(0, 17)
+        pulled = []
+        if t.levels_fn is not None:
+            t = _recorded(t, pulled)
+        ray += t.stab is not None and complete(t) is not t
+        monkeypatch.delenv("FANKIT_BUDGET", raising=False)
+        for budget in _budgets(rng, _charged(_descent_listing, t, depth)[1]):
+            if budget is None:
+                monkeypatch.delenv("FANKIT_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("FANKIT_BUDGET", str(budget))
+            assert _charged(level_listing, t, depth) == _charged(_descent_listing, t, depth), \
+                (text, depth, budget)
+        if t.stab is not None:
+            _assert_masks_narrow(pulled, complete(t).member, depth)
+    for t in random_trees(1803, 20):  # finite trees among them, completed by a ray
+        depth = rng.randrange(0, 17)
+        assert _charged(level_listing, t, depth) == _charged(_descent_listing, t, depth)
+    assert ray > 5 and routes[1] > 40 and routes[0] > 20, (ray, routes)
+
+
+def test_thin_scans_fall_back_to_the_descent(monkeypatch):
+    # a thin avoid tree visits two words a level, so only levels up to 7
+    # (2^7 bits for 2 words) are ever built as masks; the descent answers
+    routes = _route_counter(monkeypatch, sets)
+    pulled = []
+    b = _recorded(parse_specdoc("b = union(len_ge(40), count_ones_ge(1))\n").get_set("b"),
+                  pulled)
+    got, used = _charged(uniform_bound, b, 45)
+    assert got.bound == 40 and used == 1 + 2 * 40
+    assert routes == [1, 0] and max(pulled) == 7
+    # a thin completion 200 levels deep: the listing is the descent's too
+    routes = _route_counter(monkeypatch, trees)
+    pulled = []
+    t = _recorded(parse_specdoc("t = tree(finite(e, 1, 10))\n").get_tree("t"), pulled)
+    listing, used = _charged(level_listing, t, 200)
+    assert listing == ["0:e", "1:1"] + [f"{k}:1{'0' * (k - 1)}" for k in range(2, 201)]
+    assert (listing, used) == _charged(_descent_listing, t, 200)
+    assert routes == [1, 0] and max(pulled) == 7
+
+
+def test_a_wide_level_is_rendered_from_its_mask(monkeypatch):
+    # a 4096-bit level (depth 12) listed from masks: only binary
+    # conversions, so PYTHONINTMAXSTRDIGITS cannot refuse it
+    routes = _route_counter(monkeypatch, trees)
+    t = parse_specdoc("t = tree(complement(closure(finite(101))))\n").get_tree("t")
+    listing = level_listing(t, 12)
+    assert routes == [0, 1]
+    for k, line in enumerate(listing):
+        words = brute_level_members(lambda u: not has_prefix_in(lambda w: w == (1, 0, 1), u), k)
+        assert line == f"{k}:{' '.join(map(format_word, words))}"
+    assert len(listing[12].split()) == 4096 - 4096 // 8

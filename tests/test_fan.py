@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +12,10 @@ from fankit import (Bar, DSet, FanOracle, ZERO, closure, coconvex_bound,
                     interior, iter_level, len_ge, llpo_bounded_oracle,
                     lpl_from_wkl, minimal_witness, tree, union_sets,
                     wkl_oracle_from_llpo, wkl_unique_from_fan)
-from fankit.errors import (CertificateError, InconsistencyError,
+from fankit.cli import run
+from fankit.errors import (BudgetExceededError, CertificateError, InconsistencyError,
                            PreconditionError, WitnessError)
+from fankit.specfile import parse_specdoc
 
 from bruteforce import brute_least_uniform_bound, brute_survivors
 from corpus import (minimal_bar_witness, random_coconvex_bar,
@@ -167,6 +170,49 @@ def test_coconvex_bound_closes_the_carrier_itself():
     exact = dset(lambda u: len(u) == 3, stab=4, co_convex=True)
     b = Bar(exact, lambda alpha: 3)
     assert coconvex_bound(b) == 3
+
+
+def const_bar_spec(tmp_path, k: int) -> str:
+    """The co-convex bar of the words of length >= k or with a one, its
+    witness const(k): its completion is the zero ray, and the path that
+    coconvex-bound reads its bound from is k bits of it."""
+    path = tmp_path / f"const{k}.fankit"
+    path.write_text(f"s = coconvex(stab(union(len_ge({k}), count_ones_ge(1)), {k}))\n"
+                    f"b = bar(s, const({k}))\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("k", [16, 64, 256, 1024])
+def test_coconvex_bound_walks_the_ray_once(tmp_path, monkeypatch, k):
+    # the walk below the path's first bit meets level k, and that member
+    # answers every later bit's question about its 0-child, so the run
+    # charges 511 words of claim validation, 4 of the summit's descent
+    # and 6 a bit, not a walk down the ray at every bit (k^2/2 words)
+    spec = const_bar_spec(tmp_path, k)
+    argv = ["coconvex-bound", "--spec", spec, "--bar", "b"]
+    monkeypatch.setenv("FANKIT_BUDGET", str(515 + 6 * k))
+    code, text = run(argv)
+    assert code == 0 and f"\nBOUND={k}\n" in text
+    cert = tmp_path / "cert.txt"
+    cert.write_text(text, encoding="utf-8")
+    assert run(["verify", "--spec", spec, "--cert", str(cert)]) == (0, "VERIFY=OK\n")
+    monkeypatch.setenv("FANKIT_BUDGET", str(514 + 6 * k))
+    assert run(argv)[0] == 2
+
+
+def test_coconvex_bound_charges_one_meter(tmp_path, monkeypatch):
+    # outside a run the path, its walks and the closing re-check charge
+    # one meter, so a library call is refused where the CLI run is, the
+    # run having charged 511 words of claim validation before
+    spec = const_bar_spec(tmp_path, 16)
+    bar = parse_specdoc(Path(spec).read_text(encoding="utf-8")).get_bar("b")
+    monkeypatch.setenv("FANKIT_BUDGET", "50")
+    with pytest.raises(BudgetExceededError) as err:
+        coconvex_bound(bar)
+    assert str(err.value) == "descent at level 2: 51 words used, budget 50"
+    monkeypatch.setenv("FANKIT_BUDGET", str(50 + 511))
+    assert run(["coconvex-bound", "--spec", spec, "--bar", "b"]) == \
+        (2, "ERROR=BudgetExceededError: descent at level 2: 562 words used, budget 561\n")
 
 
 def test_coconvex_bound_accepts_non_minimal_witness():
