@@ -63,16 +63,17 @@ class Meter:
         """Charge n words to the operation, at a level where it has one."""
         self.used += n
         if self.used > self.limit:
-            self._refuse(operation, level, self.used)
+            self.refuse(operation, level, self.used)
 
     def tick_exp(self, exp: int, operation: str, level: int | None = None) -> None:
         """tick for 2^exp words.  Past 64 bits and the limit's bit length it is
         refused by its exponent, so a depth given by the user builds no 2^exp."""
         if exp > max(64, self.limit.bit_length()):
-            self._refuse(operation, level, f"{self.used} + 2^{exp}")
+            self.refuse(operation, level, f"{self.used} + 2^{exp}")
         self.tick(operation, level, 1 << exp)
 
-    def _refuse(self, operation: str, level: int | None, used) -> None:
+    def refuse(self, operation: str, level: int | None, used) -> None:
+        """Fail as a charge past the limit fails, with used words used."""
         where = "" if level is None else f" at level {level}"
         raise BudgetExceededError(f"{operation}{where}: {used} words used, budget {self.limit}")
 
@@ -86,9 +87,10 @@ def meter() -> Meter:
 
 
 @contextmanager
-def one_meter():
-    """Every scan in the block charges the one meter yielded: the run's, else a fresh one."""
-    token = RUN_METER.set(meter())
+def one_meter(m: Meter | None = None):
+    """Every scan in the block charges the one meter yielded: m when one is
+    given, else the run's, else a fresh one."""
+    token = RUN_METER.set(m or meter())
     try:
         yield RUN_METER.get()
     finally:

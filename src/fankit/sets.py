@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 from ._budget import check_depth, check_nonnegative, meter, one_meter
 from ._record import FrozenRecord, _set
 from .errors import PreconditionError
-from .words import EMPTY, Seq, Word, format_word
+from .words import _DIGITS, EMPTY, Seq, Word, format_word
 
 DEFAULT_HORIZON = 8
 
@@ -89,7 +89,6 @@ def _value(u: Word) -> int:
 _DOUBLED = bytes(sum((x >> k & 1) * (3 << 2 * k) for k in range(4)) for x in range(16))
 _DOUBLE_LOW = _DOUBLED * 16
 _DOUBLE_HIGH = bytes(_DOUBLED[b >> 4] for b in range(256))
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _spread(m: int, n: int) -> int:
@@ -274,9 +273,13 @@ def finite_set(members: Iterable[Word]) -> DSet:
                 levels_fn=_each_level(lambda n: sum(1 << _value(m) for m in table if len(m) == n)))
 
 
+# The combinators call their operands' member_fn, not DSet.member: one
+# Python frame per level of a nested set, and a truth value, not a bool.
+
 def union_sets(a: DSet, b: DSet) -> DSet:
     stab = max(a.stab, b.stab) if a.stab is not None and b.stab is not None else None
-    return DSet(lambda u: a.member(u) or b.member(u), stab=stab,
+    am, bm = a.member_fn, b.member_fn
+    return DSet(lambda u: am(u) or bm(u), stab=stab,
                 extension_closed=a.extension_closed and b.extension_closed,
                 restriction_closed=a.restriction_closed and b.restriction_closed,
                 co_convex=a.co_convex and b.co_convex, levels_fn=_combine(or_, a, b))
@@ -284,14 +287,16 @@ def union_sets(a: DSet, b: DSet) -> DSet:
 
 def intersect_sets(a: DSet, b: DSet) -> DSet:
     stab = max(a.stab, b.stab) if a.stab is not None and b.stab is not None else None
-    return DSet(lambda u: a.member(u) and b.member(u), stab=stab,
+    am, bm = a.member_fn, b.member_fn
+    return DSet(lambda u: am(u) and bm(u), stab=stab,
                 extension_closed=a.extension_closed and b.extension_closed,
                 restriction_closed=a.restriction_closed and b.restriction_closed,
                 convex=a.convex and b.convex, levels_fn=_combine(and_, a, b))
 
 
 def complement(a: DSet) -> DSet:
-    return DSet(lambda u: not a.member(u), stab=a.stab,
+    am = a.member_fn
+    return DSet(lambda u: not am(u), stab=a.stab,
                 extension_closed=a.restriction_closed,
                 restriction_closed=a.extension_closed,
                 convex=a.co_convex, co_convex=a.convex,
@@ -312,16 +317,22 @@ def closure(a: DSet) -> DSet:
     of a per word instead of one per prefix, and nothing else is kept.
     A level is a's level and the children of the level above.
     """
+    am = a.member_fn
     last: Word | None = None
     hit = 0  # length of the shortest prefix of last in a; len(last) + 1 if none
 
     def mem(u: Word) -> bool:
         nonlocal last, hit
-        shared = -1 if last is None else _common_prefix_len(u, last)
+        if last is None:
+            shared = -1
+        elif u[:len(last)] == last:  # a descent's step down: u extends last
+            shared = len(last)
+        else:
+            shared = _common_prefix_len(u, last)
         if hit <= shared:
             return True
         j = shared + 1
-        while j <= len(u) and not a.member(u[:j]):
+        while j <= len(u) and not am(u[:j]):
             j += 1
         last, hit = u, j
         return j <= len(u)
@@ -337,8 +348,9 @@ def closure(a: DSet) -> DSet:
 
 
 def _common_prefix_len(u: Word, w: Word) -> int:
-    if u[:len(w)] == w:  # a descent's usual step: u extends w
-        return len(w)
+    k = min(len(u), len(w)) - 1
+    if k >= 0 and u[:k] == w[:k] and u[k] != w[k]:
+        return k  # a descent's step across: u is the 1-sibling of a prefix of w
     n = 0
     for x, y in zip(u, w):
         if x != y:
@@ -452,13 +464,19 @@ def descend(keep: MemberFn, depth: int, root: Word = EMPTY) -> Iterator[Word]:
     has its answer stops the walk by leaving the loop.
     """
     check_nonnegative(depth, "depth")
-    tick = meter().tick
+    m = meter()
+    limit = m.limit
     deepest = len(root) - 1  # the longest word expanded so far
     stack = [root]
+    pop, push = stack.pop, stack.append
     while stack:
-        u = stack.pop()
+        u = pop()
         k = len(u)
-        tick("descent", k)
+        # Meter.tick("descent", k), written out: this is the per-word cost
+        # of every scan
+        used = m.used = m.used + 1
+        if used > limit:
+            m.refuse("descent", k, used)
         if not keep(u):
             continue
         yield u
@@ -466,8 +484,8 @@ def descend(keep: MemberFn, depth: int, root: Word = EMPTY) -> Iterator[Word]:
             if k > deepest:
                 check_depth(k + 1 - len(root), "descent")
                 deepest = k
-            stack.append(u + (1,))
-            stack.append(u + (0,))
+            push(u + (1,))
+            push(u + (0,))
 
 
 def descent_height(keep: MemberFn, depth: int) -> tuple[int, Word | None]:
@@ -475,10 +493,11 @@ def descent_height(keep: MemberFn, depth: int) -> tuple[int, Word | None]:
     its lex-first word at level depth; the walk stops at that word."""
     top = -1
     for u in descend(keep, depth):
-        if len(u) == depth:
+        k = len(u)
+        if k == depth:
             return depth, u
-        if len(u) > top:
-            top = len(u)
+        if k > top:
+            top = k
     return top, None
 
 
@@ -500,10 +519,12 @@ def level_descent(ds: DSet, depth: int, members: bool,
     2 * popcount of level n - 1's kept words.  None, so that the caller
     descends word by word instead, when ds has no level evaluator, when a
     level would be a mask more than _MASK_WIDTH times wider than the words
-    visited there, or when the visits pass room.  Nothing is charged.
+    visited there, or, once the visits pass room, more than 2 * room bits
+    wide: a descent past room is refused after room + 1 words, and masks
+    that wide would cost more than those words.  Nothing is charged.
     """
     check_nonnegative(depth, "depth")
-    if ds.levels_fn is None or room < 1:
+    if ds.levels_fn is None:
         return None
     rows = ds.levels_fn(depth)
     if not members:
@@ -515,7 +536,8 @@ def level_descent(ds: DSet, depth: int, members: bool,
         kept.append(level)
         seen = 2 * level.bit_count()
         visits += seen
-        if visits > room or n > _MASK_LEVELS or 1 << n > _MASK_WIDTH * seen:
+        if n > _MASK_LEVELS or 1 << n > _MASK_WIDTH * seen or \
+                visits > room and 1 << n > 2 * room:
             return None
         level = _spread(level, n - 1) & next(rows)
     if level:
@@ -525,36 +547,66 @@ def level_descent(ds: DSet, depth: int, members: bool,
 
 def avoid_descent(b: DSet, depth: int) -> tuple[int, Word | None]:
     """descent_height of b's avoid tree: the words with no prefix in b."""
-    return descent_height(lambda u: not b.member(u), depth)
+    member = b.member_fn
+    return descent_height(lambda u: not member(u), depth)
 
 
 def avoid_height(b: DSet, depth: int) -> tuple[int, Word | None]:
     """avoid_descent's answer, from level masks where level_descent gives
-    them, and charged the words avoid_descent visits either way.
+    them, and charged or refused as avoid_descent is either way.
 
     The avoid tree is restriction-closed, so N is a uniform bound exactly
     when it has no level-N word, and the least bound is its height + 1.
-    The level-depth word, when there is one, is the lex-first escape.
+    The level-depth word, when there is one, is the lex-first escape, and
+    the descent stops there.  A descent that does not fit the budget is
+    refused at its level of the first word past the budget, found from the
+    masks too, without the word-by-word walk up to it.
     """
     check_nonnegative(depth, "depth")
     m = meter()
-    got = level_descent(b, depth, False, m.limit - m.used)
+    room = max(m.limit - m.used, 0)
+    got = level_descent(b, depth, False, room)
     if got is None:
         return avoid_descent(b, depth)
     kept, visits = got
-    if len(kept) <= depth:
-        m.tick("descent", None, visits)
-        return len(kept) - 1, None
-    x = _lowest(kept[depth])
-    # the descent stops at x: at each level n it has visited the root, or
-    # the children of the kept words before x's prefix y's parent, then
-    # y's 0-sibling when y is a 1-child, then y
-    visits = 1
-    for n in range(1, depth + 1):
-        y = x >> (depth - n)
-        visits += 2 * (kept[n - 1] & ((1 << (y >> 1)) - 1)).bit_count() + (y & 1) + 1
+    top, escape = len(kept) - 1, None
+    if top == depth:
+        x = _lowest(kept[depth])
+        escape, visits = _word(x, depth), _rank(kept, depth, depth, x)
+    if visits > room:
+        m.tick("descent", _preorder_level(kept, depth, room + 1), room + 1)
     m.tick("descent", None, visits)
-    return depth, _word(x, depth)
+    return top, escape
+
+
+def _rank(kept: list[int], depth: int, n: int, y: int) -> int:
+    """The place, from 1, of the level-n word at bit y in the preorder of
+    the words a descent cut at depth visits, `kept` the masks of the words
+    it keeps.  At each level m the descent visits the children of level
+    m - 1's kept words; those up to the word's prefix (m <= n), or before
+    its first level-m descendant (m > n), come before it."""
+    place = 1  # the root
+    for m in range(1, min(len(kept), depth) + 1):
+        b = (y >> (n - m)) + 1 if m <= n else y << (m - n)
+        row = kept[m - 1]
+        # the visited words below bit b: both children of each kept word
+        # below bit b // 2, and word b - 1 when it is a 0-child of a kept one
+        place += 2 * (row & ((1 << (b >> 1)) - 1)).bit_count() + (row >> (b >> 1) & b & 1)
+    return place
+
+
+def _preorder_level(kept: list[int], depth: int, r: int) -> int:
+    """The level of the r-th word, from 1, that a descent cut at depth
+    visits, `kept` the masks of the words it keeps; r is at most the
+    number of words it visits."""
+    n = y = 0
+    while _rank(kept, depth, n, y) < r:
+        # the r-th word is below this one: under its 1-child when that
+        # child's place is not past r, else under its 0-child
+        n, y = n + 1, 2 * y
+        if _rank(kept, depth, n, y + 1) <= r:
+            y += 1
+    return n
 
 
 def least_uniform_bound(b: DSet, max_n: int) -> int | None:

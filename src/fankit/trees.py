@@ -36,9 +36,13 @@ def tree_levels(t: DSet, depth: int) -> list[list[Word]]:
     check_depth(depth, "level listing")
     levels = [[] for _ in range(depth + 1)]
     with one_meter() as listing:
-        for u in descend(t.member, depth):
-            listing.tick("level listing", len(u), len(u))
-            levels[len(u)].append(u)
+        limit = listing.limit
+        for u in descend(t.member_fn, depth):
+            k = len(u)
+            used = listing.used = listing.used + k  # tick("level listing", k, k)
+            if used > limit:
+                listing.refuse("level listing", k, used)
+            levels[k].append(u)
     return levels
 
 
@@ -99,7 +103,7 @@ def _summit(t: DSet) -> Word | None:
     infinite)."""
     s = _require_stab(t)
     top, head = -1, EMPTY
-    for u in descend(t.member, s):
+    for u in descend(t.member_fn, s):
         if len(u) == s:
             return None
         # preorder meets the words of one length in lex order
@@ -131,13 +135,14 @@ def complete(t: DSet) -> DSet:
     if head is None:
         return t
     hl, at = len(head), _value(head)
+    tm = t.member_fn
 
     def mem(u: Word) -> bool:
         if not u:
             return True
         if len(u) > hl and u[:hl] == head and all(b == 0 for b in u[hl:]):
             return True
-        return t.member(u)
+        return tm(u)
 
     def levels(depth: int) -> Iterator[int]:
         for n, row in enumerate(t.levels_fn(depth)):
@@ -166,7 +171,7 @@ def survival(t: DSet, u: Word,
     An error from the walk ends it: ask a fresh survival after one.
     """
     s = t.stab
-    walk = descend(t.member, math.inf, root=u)
+    walk = descend(t.member_fn, math.inf, root=u)
     top = -1  # deepest relative depth with a member found so far
 
     def alive(d: int) -> bool:
@@ -232,14 +237,16 @@ class PathGen:
     """Single-consumer lazy path producer.
 
     Each next() call refuses a bit past the depth cap, asks the advance
-    rule for one more bit (its scans charge the meter) and verifies the
-    grown prefix is still a member of the tree.  All oracle and witness
-    traffic is recorded in `trace` for replay.
+    rule for one more bit and verifies the grown prefix is still a member
+    of the tree.  The rule's scans, over all the bits, charge one meter:
+    the run's the generator was made in, else one of its own.  All oracle
+    and witness traffic is recorded in `trace` for replay.
     """
 
     def __init__(self, t: DSet, advance: Callable[[Word, list], int]):
         self._tree = t
         self._advance = advance
+        self._meter = meter()
         self._bits: list[int] = []
         # the deepest member survives' walks have met, and its walk's root
         self._deepest, self._root = EMPTY, EMPTY
@@ -268,7 +275,8 @@ class PathGen:
     def next(self) -> int:
         check_depth(len(self._bits) + 1, "path")
         u = tuple(self._bits)
-        bit = self._advance(u, self.trace)
+        with one_meter(self._meter):
+            bit = self._advance(u, self.trace)
         if bit not in (0, 1):
             raise CertificateError(f"advance rule produced {bit!r}")
         self._bits.append(bit)

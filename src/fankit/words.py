@@ -26,9 +26,13 @@ def word(bits: Iterable[int]) -> Word:
     return w
 
 
+# bytes.translate table: the bits 0 and 1 as the digits "0" and "1"
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def format_word(u: Word) -> str:
     """Render as a bit string; the empty word renders as 'e'."""
-    return "".join(map(str, u)) if u else "e"
+    return bytes(u).translate(_DIGITS).decode() if u else "e"
 
 
 def parse_word(text: str) -> Word:

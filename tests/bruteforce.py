@@ -82,6 +82,41 @@ def brute_llpo_branch(member: Member, u: tuple, horizon: int) -> int:
     return 0
 
 
+def brute_descent_words(keep: Member, depth: int) -> list[tuple]:
+    """The words a pruned descent cut at depth tests, in its order: those
+    of length <= depth whose proper prefixes all satisfy keep, in preorder
+    with 0 before 1, which is the order Python sorts tuples in."""
+    return sorted(u for u in all_words(depth) if all(keep(u[:k]) for k in range(len(u))))
+
+
+def brute_descent_charges(keep: Member, depth: int, stop_at_depth: bool = False,
+                          listing: bool = False) -> list[tuple]:
+    """The charges, in order, of a pruned descent cut at depth, each as
+    (operation, level, words): one word for each word it tests, then,
+    with listing, the length of each word it keeps.  With stop_at_depth
+    the walk ends at its first kept word of length depth."""
+    charges = []
+    for u in brute_descent_words(keep, depth):
+        charges.append(("descent", len(u), 1))
+        if keep(u):
+            if listing:
+                charges.append(("level listing", len(u), len(u)))
+            if stop_at_depth and len(u) == depth:
+                break
+    return charges
+
+
+def brute_metered(charges: list[tuple], budget: int) -> tuple[int, str | None]:
+    """The words used when the charges run against the budget, and the
+    refusal of the first charge that passes it (None when none does)."""
+    used = 0
+    for operation, level, words in charges:
+        used += words
+        if used > budget:
+            return used, f"{operation} at level {level}: {used} words used, budget {budget}"
+    return used, None
+
+
 def brute_is_convex_level(member: Member, n: int) -> bool:
     flags = [member(u) for u in words_at(n)]
     idx = [i for i, f in enumerate(flags) if f]

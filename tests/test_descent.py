@@ -12,8 +12,9 @@ import tracemalloc
 import pytest
 
 from fankit import (DSet, bar_verdict, closure, complement, complete, finite_set,
-                    full_set, is_infinite_to, is_summit, least_uniform_bound, len_ge,
-                    members_at, restrict, survivor_width, tree, uniform_bound)
+                    full_set, has_prefix, is_infinite_to, is_summit, least_uniform_bound,
+                    len_ge, members_at, restrict, survivor_width, tree, uniform_bound,
+                    union_sets)
 from fankit import sets, trees
 from fankit._budget import MAX_SCAN_DEPTH, RUN_METER, Meter
 from fankit.errors import BudgetExceededError, PreconditionError
@@ -22,9 +23,10 @@ from fankit.specfile import SpecError, parse_specdoc
 from fankit.trees import level_listing, tree_levels
 from fankit.words import format_word
 
-from bruteforce import (all_words, brute_completion, brute_first_escape,
-                        brute_least_empty_level, brute_least_uniform_bound,
-                        brute_level_members, brute_summit, has_prefix_in)
+from bruteforce import (all_words, brute_completion, brute_descent_charges,
+                        brute_descent_words, brute_first_escape, brute_least_empty_level,
+                        brute_least_uniform_bound, brute_level_members, brute_metered,
+                        brute_summit, has_prefix_in)
 from test_cli import random_set_text, random_word_text
 from test_sets import random_spec_set
 
@@ -440,3 +442,111 @@ def test_a_wide_level_is_rendered_from_its_mask(monkeypatch):
         words = brute_level_members(lambda u: not has_prefix_in(lambda w: w == (1, 0, 1), u), k)
         assert line == f"{k}:{' '.join(map(format_word, words))}"
     assert len(listing[12].split()) == 4096 - 4096 // 8
+
+
+def test_avoid_height_refuses_from_the_masks_as_the_descent_does(monkeypatch):
+    # past the budget, the level route names the level of the descent's
+    # first word past it, read from the masks: membership is never asked
+    rng = random.Random(1901)
+    from_masks = 0
+    while from_masks < 60:
+        monkeypatch.delenv("FANKIT_BUDGET", raising=False)
+        text = random_spec_set(rng)
+        try:
+            b = parse_specdoc(f"b = {text}\n").get_set("b")
+        except SpecError:
+            continue
+        depth = rng.randrange(0, 17)
+        used = _charged(avoid_descent, b, depth)[1]
+        if b.levels_fn is None or used < 2:
+            continue
+        asked = []
+        member = b.member_fn
+        counted = b.replace(member_fn=lambda u: asked.append(u) or member(u))
+        for budget in {1, rng.randrange(1, used), used - 1}:
+            monkeypatch.setenv("FANKIT_BUDGET", str(budget))
+            masks = sets.level_descent(b, depth, False, budget) is not None
+            asked.clear()
+            got = _charged(avoid_height, counted, depth)
+            assert got[0].startswith("BudgetExceededError: descent at level ")
+            assert got == _charged(avoid_descent, b, depth), (text, depth, budget)
+            assert not (masks and asked), (text, depth, budget)
+            from_masks += masks
+
+
+def test_an_over_budget_scan_is_refused_without_its_walk(monkeypatch):
+    # the descent would test 1,048,577 words before its refusal
+    monkeypatch.delenv("FANKIT_BUDGET", raising=False)
+    asked = []
+    b = parse_specdoc("s = closure(union(len_ge(21), prefix(111)))\n").get_set("s")
+    member = b.member_fn
+    b = b.replace(member_fn=lambda u: asked.append(u) or member(u))
+    assert _charged(uniform_bound, b, 22) == (
+        "BudgetExceededError: descent at level 21: 1048577 words used, budget 1048576",
+        1048577)
+    assert not asked
+
+
+# ---------------------------------------------------------------------------
+# The charge written out in descend and tree_levels: the words used and the
+# refusals are those of a reference count of the preorder visits.
+
+def test_descent_charges_match_the_reference_count(monkeypatch):
+    rng = random.Random(1902)
+    for _ in range(30):
+        monkeypatch.delenv("FANKIT_BUDGET", raising=False)
+        depth = rng.randrange(0, 6)
+        p = rng.random()
+        keep = {u: rng.random() < p for u in all_words(depth)}.__getitem__
+        avoided = DSet(lambda u, keep=keep: not keep(u))  # its avoid tree is keep's
+        listed = tree(DSet(keep), validate=False)
+        kept = [u for u in brute_descent_words(keep, depth) if keep(u)]
+        assert list(descend(keep, depth)) == kept
+        stopped = brute_descent_charges(keep, depth, stop_at_depth=True)
+        scans = [(lambda: list(descend(keep, depth)), brute_descent_charges(keep, depth)),
+                 (lambda: descent_height(keep, depth), stopped),
+                 (lambda: avoid_descent(avoided, depth), stopped),
+                 (lambda: tree_levels(listed, depth),
+                  brute_descent_charges(keep, depth, listing=True))]
+        for scan, charges in scans:
+            for budget in range(1, sum(words for _, _, words in charges) + 2):
+                monkeypatch.setenv("FANKIT_BUDGET", str(budget))
+                got, used = _charged(scan)
+                want_used, refusal = brute_metered(charges, budget)
+                assert used == want_used, (depth, budget, charges)
+                if refusal is None:
+                    assert not isinstance(got, str), got
+                else:
+                    assert got == f"BudgetExceededError: {refusal}"
+
+
+# ---------------------------------------------------------------------------
+# What a visited word costs, counted deterministically: the Python frames
+# entered per word (sys.setprofile's "call" events, generator resumes
+# included; C calls are left out, as they differ between Python versions).
+
+def _calls_per_visit(scan, keep, depth):
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+    sys.setprofile(profile)
+    try:
+        scan()
+    finally:
+        sys.setprofile(None)
+    return calls / len(brute_descent_words(keep, depth))
+
+
+def test_a_visited_word_costs_few_python_calls():
+    # a combinator calls its operands' membership functions directly and
+    # the descent charges its meter inline: 4.0, 5.5 and 4.5 calls a word,
+    # where routing through DSet.member and Meter.tick made 7.5, 10.5 and 10
+    b = union_sets(len_ge(10), has_prefix((1, 1, 0)))
+    assert _calls_per_visit(lambda: avoid_descent(b, 12), lambda u: not b.member(u), 12) <= 5
+    c = closure(b)
+    avoid = lambda u: not has_prefix_in(b.member, u)  # noqa: E731
+    assert _calls_per_visit(lambda: avoid_descent(c, 12), avoid, 12) <= 7
+    t = parse_specdoc("t = tree(complement(closure(finite(101))))\n").get_tree("t")
+    assert _calls_per_visit(lambda: tree_levels(t, 10), t.member, 10) <= 6

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import random
 
@@ -12,7 +13,8 @@ from fankit import (DSet, Parity, Seq, ZERO, convexity_verdict, finite_set,
                     llpo_bounded_oracle, llpo_from_path_oracle, llpo_probe_tree,
                     lpl_from_wkl, restrict, tree, wkl_from_llpo,
                     wkl_oracle_from_llpo)
-from fankit.errors import CertificateError, PreconditionError
+from fankit._budget import RUN_METER, Meter
+from fankit.errors import BudgetExceededError, CertificateError, PreconditionError
 
 from bruteforce import brute_survivors
 from corpus import random_tree
@@ -72,6 +74,25 @@ def test_wkl_from_llpo_spine():
     gen = wkl_from_llpo(t, llpo_bounded_oracle(8))
     assert gen.take(3) == (1, 0, 0)
     assert brute_survivors(t.member, 3, 9) == {(1, 0, 0)}
+
+
+def test_a_path_charges_one_meter_across_its_bits(monkeypatch):
+    # outside a run the LLPO scans of all 100 bits charge the generator's
+    # one meter, as they charge the run's inside one
+    monkeypatch.setenv("FANKIT_BUDGET", "64")
+
+    def refusal():
+        gen = wkl_from_llpo(tree(full_set(), validate=False), llpo_bounded_oracle(16))
+        with pytest.raises(BudgetExceededError) as err:
+            gen.take(100)
+        return str(err.value)
+
+    def in_a_run():
+        RUN_METER.set(Meter())
+        return refusal()
+
+    assert refusal() == contextvars.copy_context().run(in_a_run) == \
+        "LLPO search to horizon 16: 74 words used, budget 64"
 
 
 def test_wkl_prefixes_are_members_on_random_corpus():

@@ -7,18 +7,20 @@ from collections import Counter
 
 import pytest
 
-from fankit import (DSet, bar_verdict, closure, complement,
+from fankit import (DSet, bar_verdict, closure, complement, complete,
                     convexity_verdict, dset, finite_set, full_set, interior,
-                    iter_level, len_ge, restrict, restrict_set, uniform_bound,
-                    union_sets)
+                    intersect_sets, iter_level, len_ge, restrict, restrict_set, tree,
+                    uniform_bound, union_sets)
 from fankit import sets
 from fankit._budget import one_meter
 from fankit.errors import BudgetExceededError, PreconditionError
-from fankit.sets import validate_claims
+from fankit.sets import avoid_descent, descend, validate_claims
 from fankit.specfile import SpecError, parse_specdoc
 
-from bruteforce import (all_words, brute_claim_violation, brute_convexity_gap,
-                        brute_interior_member, brute_least_uniform_bound, words_at)
+from bruteforce import (all_words, brute_claim_violation, brute_completion,
+                        brute_convexity_gap, brute_descent_words, brute_first_escape,
+                        brute_interior_member, brute_least_uniform_bound, has_prefix_in,
+                        words_at)
 from corpus import random_dset
 from test_cli import random_set_text
 
@@ -487,3 +489,54 @@ def test_stab_propagation():
     assert restrict_set(a, (0, 1)).stab == 1
     assert complement(a).stab == 3
     assert closure(b).stab == 3
+
+
+# ---------------------------------------------------------------------------
+# Membership functions may answer any truth value, not only a bool.
+
+def _opaque(rng, truth):
+    """A membership function answering, for each word, a truth value that
+    is not a bool and stands for truth's answer."""
+    answer = {u: rng.choice((1, "yes") if t else (0, None, "")) for u, t in truth.items()}
+    return answer.__getitem__
+
+
+def _assert_reads_as(ds, want, depth):
+    """ds's members, descent and avoid descent are want's, by brute force."""
+    for u in all_words(depth):
+        got = ds.member(u)
+        assert type(got) is bool and got == want(u), u
+    assert list(descend(ds.member_fn, depth)) == \
+        [u for u in brute_descent_words(want, depth) if want(u)]
+    escape = brute_first_escape(want, depth)
+    top = depth if escape is not None else brute_least_uniform_bound(want, depth) - 1
+    assert avoid_descent(ds, depth) == (top, escape)
+
+
+def test_combinators_read_opaque_truth_values():
+    rng = random.Random(1903)
+    depth = 6
+    for _ in range(30):
+        ta, tb = ({u: rng.random() < p for u in all_words(depth)}
+                  for p in (rng.random(), rng.random()))
+        a, b = DSet(_opaque(rng, ta)), DSet(_opaque(rng, tb))
+        ina, inb = ta.__getitem__, tb.__getitem__
+        _assert_reads_as(union_sets(a, b), lambda u: ina(u) or inb(u), depth)
+        _assert_reads_as(intersect_sets(a, b), lambda u: ina(u) and inb(u), depth)
+        _assert_reads_as(complement(a), lambda u: not ina(u), depth)
+        _assert_reads_as(closure(a), lambda u: has_prefix_in(ina, u), depth)
+        _assert_reads_as(complement(closure(intersect_sets(a, complement(b)))),
+                         lambda u: not has_prefix_in(lambda w: ina(w) and not inb(w), u),
+                         depth)
+
+
+def test_completion_reads_opaque_truth_values():
+    rng = random.Random(1904)
+    depth = 8
+    for _ in range(30):
+        s = rng.randrange(0, 5)
+        inside = {u: False for u in all_words(depth)}
+        for u in all_words(s - 1):  # a random finite tree, parents first
+            inside[u] = (not u or inside[u[:-1]]) and rng.random() < 0.7
+        t = tree(DSet(_opaque(rng, inside), stab=s), validate=False)
+        _assert_reads_as(complete(t), brute_completion(inside.__getitem__, s), depth)

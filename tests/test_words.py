@@ -159,3 +159,10 @@ def test_word_formatting_round_trip():
         parse_word("012")
     with pytest.raises(ValueError):
         word([0, 1, 2])
+
+
+def test_format_word_writes_each_bit_as_its_digit():
+    words = [u for n in range(11) for u in itertools.product((0, 1), repeat=n)]
+    words.append(tuple(random.Random(1904).randrange(2) for _ in range(1024)))
+    for u in words:
+        assert format_word(u) == ("".join(map(str, u)) or "e")
